@@ -244,6 +244,7 @@ class AuthorDirectory:
 
         self._site_conditions = self._translate_site_keys(site_conditions)
         self._site_created = self._translate_site_keys(site_created)
+        self._conditions: dict = {}  # author -> health condition, filled on demand
         self._states: dict = {}
         if geo_posts:
             self._assign_states(geo_posts)
@@ -330,6 +331,12 @@ class AuthorDirectory:
         return tuple(s for s, _ in sorted(sites.items(), key=lambda kv: (kv[1], str(kv[0]))))
 
     def health_condition(self, author) -> str | None:
+        """First informative condition over the author's sites by creation time, cached per author."""
+        if author not in self._conditions:
+            self._conditions[author] = self._assign_condition(author)
+        return self._conditions[author]
+
+    def _assign_condition(self, author) -> str | None:
         sites = self._site_first.get(author)
         if not sites:
             return None

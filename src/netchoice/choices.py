@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -43,6 +45,8 @@ FEATURE_NAMES = (
 STATE_FEATURE = "is_state_assignment_shared"
 
 NETWORK_FEATURE_NAMES = FEATURE_NAMES[:6]
+
+_DRAW_BATCH = 64  # indices per rng call in sample_negatives; fixed, so draws never depend on n
 
 
 class UnknownCandidateError(ValueError):
@@ -111,20 +115,47 @@ def eligible_candidates(graph: TemporalGraph, directory: AuthorDirectory | None,
     return candidates
 
 
-def sample_negatives(pool, n: int, seed) -> list:
-    """Uniform sample without replacement; the whole pool if it is small.
+def sample_negatives(pool, n: int, seed, exclude=frozenset(), k=None) -> list:
+    """Uniform sample without replacement from ``pool[:k]`` minus ``exclude``.
+
+    ``k`` defaults to the whole pool; a pool that is not a sequence (a
+    set) is sorted first. Every member of ``exclude`` must lie in
+    ``pool[:k]``, so ``k - len(exclude)`` members are left to draw
+    from; all of them come back when there are ``n`` or fewer.
+
+    Indices are drawn uniformly in batches of a fixed size and rejected when
+    excluded or already drawn, so the cost is O(n + len(exclude)) however
+    long the pool. When more than half of the prefix is excluded, the rest
+    is enumerated and permuted instead; that choice depends on the sizes
+    only, never on ``n``.
 
     Deterministic for a given seed, and prefix-stable: the n-sample is a
     prefix of the (n+1)-sample under the same seed, so enlarging a choice set
     never reshuffles what was already drawn.
     """
-    ordered = sorted(pool)
-    if not ordered:
+    if not isinstance(pool, Sequence):
+        pool = sorted(pool)
+    k = len(pool) if k is None else k
+    available = k - len(exclude)
+    take = min(n, available)
+    if take <= 0:
         return []
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(ordered))
-    take = min(n, len(ordered))
-    return [ordered[i] for i in perm[:take]]
+    if 2 * available < k:
+        rest = [x for x in islice(pool, k) if x not in exclude]
+        return [rest[i] for i in rng.permutation(len(rest))[:take]]
+    drawn: list = []
+    seen: set = set()
+    while True:
+        for i in rng.integers(0, k, size=_DRAW_BATCH).tolist():
+            if i in seen:
+                continue
+            seen.add(i)
+            x = pool[i]
+            if x not in exclude:
+                drawn.append(x)
+                if len(drawn) == take:
+                    return drawn
 
 
 def censored_log(x: float, minimum: float) -> float:
@@ -199,24 +230,40 @@ def build_choice_sets(
     features reflect the state strictly before its initiation. Initiations
     whose receiver is not yet an eligible candidate, or with no negative
     left to sample, are skipped and reported.
+
+    The directory's first-update times are registered on the graph first (a
+    no-op when the graph was built with them as ``extra_nodes``). The risk
+    set at ``t`` -- the set :func:`eligible_candidates` returns -- is then
+    the graph's activation-ordered prefix minus the chooser and the
+    chooser's targets, and negatives are drawn from that prefix without
+    building the set.
     """
     names = feature_names(include_state)
     instances: list[ChoiceInstance] = []
     skipped: list[SkippedChoice] = []
+    if directory is not None:
+        for author, first in directory.first_update_times().items():
+            graph.register_node(author, first)
     for index, ini in enumerate(initiations):
         chooser, receiver, t = ini.initiator, ini.receiver, ini.time
         graph.advance_to(t)
-        eligible = eligible_candidates(graph, directory, chooser, t)
-        if receiver not in eligible:
+        # Every target of the chooser is activated before t, so the excluded
+        # nodes all lie in the prefix and the pool size is exact.
+        exclude = graph.out_neighbors(chooser)
+        receiver_at = graph.activation_time(receiver)
+        if receiver_at is None or receiver_at >= t or receiver == chooser or receiver in exclude:
             skipped.append(SkippedChoice(chooser, receiver, t, "receiver_not_eligible"))
             continue
-        pool = eligible
-        pool.discard(receiver)
-        if not pool:
+        exclude.add(receiver)
+        chooser_at = graph.activation_time(chooser)
+        if chooser_at is not None and chooser_at < t:
+            exclude.add(chooser)
+        nodes, k = graph.activation_prefix(t)
+        if k == len(exclude):
             skipped.append(SkippedChoice(chooser, receiver, t, "no_negatives"))
             continue
-        negatives = sample_negatives(pool, sampler.n_negatives, np.random.SeedSequence(sampler.seed, spawn_key=(index,)))
-        alternatives = [receiver] + negatives
+        seed = np.random.SeedSequence(sampler.seed, spawn_key=(index,))
+        alternatives = [receiver] + sample_negatives(nodes, sampler.n_negatives, seed, exclude, k)
         X = np.vstack([build_features(chooser, alt, t, graph, directory, include_state) for alt in alternatives])
         instances.append(
             ChoiceInstance(chooser=chooser, time=t, alternatives=alternatives, chosen=0, X=X, feature_names=names)

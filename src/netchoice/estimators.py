@@ -40,7 +40,7 @@ class SingularHessianError(NumericalError):
 
 
 class SeparationError(NumericalError):
-    """Logistic coefficients diverged, indicating perfect separation."""
+    """The data separate the outcomes, so coefficients diverge and no finite MLE exists."""
 
 
 class RankDeficiencyError(NumericalError):
@@ -281,15 +281,28 @@ def mnl_probabilities(beta, instances) -> ProbabilityTable:
     return ProbabilityTable(utilities=utilities, probabilities=probs)
 
 
-def _check_identifiable(packed: _Packed) -> None:
-    spread = np.maximum.reduceat(packed.X, packed.starts, axis=0) - np.minimum.reduceat(
-        packed.X, packed.starts, axis=0
-    )
-    flat = spread.max(axis=0) == 0
+def _check_estimable(packed: _Packed) -> None:
+    """Reject features that are flat in every choice set or separate the choices.
+
+    Once a feature varies in some set, a chosen value that is the set's
+    maximum in every set (or its minimum in every set) is strictly extremal
+    somewhere, so the likelihood keeps rising along that coefficient and
+    has no finite maximum.
+    """
+    hi = np.maximum.reduceat(packed.X, packed.starts, axis=0)
+    lo = np.minimum.reduceat(packed.X, packed.starts, axis=0)
+    flat = (hi - lo).max(axis=0) == 0
     if flat.any():
         names = [packed.feature_names[j] for j in np.flatnonzero(flat)]
         raise IdentifiabilityError(
             f"features constant within every choice set: {', '.join(map(str, names))}"
+        )
+    chosen = packed.X[packed.chosen_rows]
+    separated = (chosen == hi).all(axis=0) | (chosen == lo).all(axis=0)
+    if separated.any():
+        names = [packed.feature_names[j] for j in np.flatnonzero(separated)]
+        raise SeparationError(
+            f"chosen alternative is extremal in every choice set on: {', '.join(map(str, names))}"
         )
 
 
@@ -302,7 +315,7 @@ def mnl_fit(instances, tol: float = 1e-8, max_iter: int = 100) -> FitResult:
     sqrt(diag((-H)^-1)) at the optimum.
     """
     packed = _as_packed(instances)
-    _check_identifiable(packed)
+    _check_estimable(packed)
     p_dim = packed.X.shape[1]
     beta = np.zeros(p_dim)
     ll = mnl_loglik(beta, packed)

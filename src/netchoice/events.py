@@ -380,6 +380,9 @@ class DirectedInteractionLog(Sequence):
             yield self[i]
 
 
+_INT64_MAX = 2**63 - 1  # timestamps are stored as int64
+
+
 def _parse_int(text, line, field, minimum=0):
     try:
         value = int(text)
@@ -387,6 +390,8 @@ def _parse_int(text, line, field, minimum=0):
         raise SchemaError(f"not an integer: {text!r}", line=line, field=field) from None
     if value < minimum:
         raise SchemaError(f"negative {field}", line=line, field=field)
+    if value > _INT64_MAX:
+        raise SchemaError(f"{field} exceeds {_INT64_MAX}: {text!r}", line=line, field=field)
     return value
 
 

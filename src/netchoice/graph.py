@@ -160,6 +160,15 @@ class TemporalGraph:
         """When the node first appeared (edge endpoint or registration), or None."""
         return self._activation.get(node)
 
+    def activation_prefix(self, t) -> tuple[list, int]:
+        """All nodes in activation order and the count ``k`` activated strictly before ``t``.
+
+        ``nodes[:k]`` are the nodes activated before ``t``; the list is shared,
+        not copied, and stays valid until the next registration or append.
+        """
+        times, nodes = self._activation_arrays()
+        return nodes, int(np.searchsorted(times, t, side="left"))
+
     def activated_count(self, t=None) -> int:
         """Nodes activated strictly before ``t`` (default: the cursor)."""
         t = self._cursor if t is None else t
@@ -167,8 +176,7 @@ class TemporalGraph:
         return int(np.searchsorted(times, t, side="left"))
 
     def nodes_activated_before(self, t) -> list:
-        times, nodes = self._activation_arrays()
-        k = int(np.searchsorted(times, t, side="left"))
+        nodes, k = self.activation_prefix(t)
         return nodes[:k]
 
     # -- replay ------------------------------------------------------------

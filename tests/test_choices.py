@@ -263,6 +263,72 @@ class TestBuildChoiceSets:
             assert np.array_equal(X, instance.X)
 
 
+class TestPrefixSampling:
+    """``build_choice_sets`` draws negatives from the graph's activation-ordered prefix."""
+
+    DRAWS = 4000
+
+    def negative_counts(self, edges, extra_nodes, chooser, receiver):
+        initiation = next(i for i in extract_initiations(edges) if (i.initiator, i.receiver) == (chooser, receiver))
+        graph = build(edges, extra_nodes=extra_nodes)
+        counts = {}
+        for seed in range(self.DRAWS):
+            instances, skipped = build_choice_sets([initiation], graph, None, SamplerConfig(n_negatives=1, seed=seed))
+            assert skipped == []
+            negative = instances[0].alternatives[1]
+            counts[negative] = counts.get(negative, 0) + 1
+        oracle = build(edges, extra_nodes=extra_nodes)
+        support = eligible_candidates(oracle, None, chooser, initiation.time) - {receiver}
+        return counts, support, oracle.activated_count(initiation.time)
+
+    def assert_uniform(self, counts, support):
+        assert set(counts) == support
+        p = 1 / len(support)
+        sigma = math.sqrt(self.DRAWS * p * (1 - p))
+        assert max(abs(counts[c] - self.DRAWS * p) for c in support) <= 3 * sigma
+
+    def test_uniform_over_risk_set_by_rejection(self):
+        nodes = {f"n{i}": 0 for i in range(10)} | {"c": 0, "late": 30}
+        edges = [("n1", "n2", 3), ("n4", "c", 5), ("c", "n0", 10), ("late", "c", 30)]
+        counts, support, k = self.negative_counts(edges, nodes, "c", "n0")
+        assert support == {f"n{i}" for i in range(1, 10)}
+        assert 2 * len(support) >= k  # few exclusions: indices are drawn and rejected
+        self.assert_uniform(counts, support)
+
+    def test_uniform_over_risk_set_by_enumeration(self):
+        nodes = {f"n{i}": 0 for i in range(20)} | {"c": 0}
+        edges = [("c", f"n{i}", 1 + i) for i in range(12)] + [("c", "n12", 20)]
+        counts, support, k = self.negative_counts(edges, nodes, "c", "n12")
+        assert support == {f"n{i}" for i in range(13, 20)}
+        assert 2 * len(support) < k  # the chooser's targets fill most of the prefix
+        self.assert_uniform(counts, support)
+
+    def test_n_sample_is_prefix_of_n_plus_one_sample(self):
+        edges, _, _, _ = make_world(seed=12)
+        inits = extract_initiations(edges)
+        previous = None
+        for n in range(1, 10):
+            _, _, directory, graph = make_world(seed=12)
+            instances, _ = build_choice_sets(inits, graph, directory, SamplerConfig(n_negatives=n, seed=4))
+            if previous is not None:
+                assert [(i.chooser, i.time) for i in instances] == [(i.chooser, i.time) for i in previous]
+                for small, large in zip(previous, instances):
+                    assert large.alternatives[: len(small.alternatives)] == small.alternatives
+                    assert len(small.alternatives) <= len(large.alternatives) <= len(small.alternatives) + 1
+            previous = instances
+        assert any(len(i.alternatives) < 10 for i in previous), "fixture should reach whole pools"
+
+    def test_directory_registration_matches_extra_nodes(self):
+        edges, _, directory, with_extra = make_world(seed=13)
+        inits = extract_initiations(edges)
+        sampler = SamplerConfig(n_negatives=4, seed=6)
+        expected, expected_skipped = build_choice_sets(inits, with_extra, directory, sampler)
+        got, got_skipped = build_choice_sets(inits, build(edges), directory, sampler)
+        assert got_skipped == expected_skipped
+        assert [i.alternatives for i in got] == [i.alternatives for i in expected]
+        assert all(np.array_equal(a.X, b.X) for a, b in zip(got, expected))
+
+
 class TestTemporalSplit:
     def make(self, times):
         return [

@@ -264,6 +264,13 @@ class TestExitCodes:
         assert run(["ingest", "--interactions", str(bad), "--updates", str(upd),
                     "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
 
+    def test_timestamp_beyond_int64_is_1(self, world, tmp_path, capsys):
+        upd = tmp_path / "upd.csv"
+        upd.write_text("author_id,site_id,update_id,timestamp,role_label\na,s,u1,99999999999999999999,CG\n")
+        assert run(["ingest", "--interactions", world["interactions"], "--updates", str(upd),
+                    "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert "line 2, field 'timestamp'" in capsys.readouterr().err
+
     def test_bad_config_key_is_1(self, world, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("not_a_key=1\n")

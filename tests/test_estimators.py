@@ -154,6 +154,20 @@ class TestMnlFit:
             mnl_fit(instances)
         assert "f1" in str(err.value)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_separating_feature_raises(self, sign):
+        rng = np.random.default_rng(7)
+        instances = []
+        for _ in range(200):
+            chosen = int(rng.integers(5))
+            sep = np.zeros(5)
+            sep[chosen] = sign
+            X = np.column_stack([sep, rng.normal(size=5)])
+            instances.append(inst(X, chosen=chosen, names=("sep", "noise")))
+        with pytest.raises(SeparationError) as err:
+            mnl_fit(instances)
+        assert "sep" in str(err.value) and "noise" not in str(err.value)
+
     def test_loglik_nondecreasing_over_iterations(self):
         rng = np.random.default_rng(6)
         instances = random_instances(rng, n_instances=50, beta=np.array([2.0, -1.0, 0.5]))

@@ -121,6 +121,37 @@ class TestLoadUpdates:
         assert log[0].role_label == "unlabeled"
 
 
+class TestTimestampRange:
+    HUGE = 99999999999999999999
+
+    def test_csv_timestamp_beyond_int64_is_schema_error(self, tmp_path):
+        bad_updates = write(tmp_path, "up.csv", UPDATE_HEADER + "a,s,u1,5,P\n" + f"a,s,u2,{self.HUGE},P\n")
+        with pytest.raises(SchemaError) as err:
+            load_updates(bad_updates)
+        assert (err.value.line, err.value.field) == (3, "timestamp")
+        bad_events = write(tmp_path, "ev.csv", HEADER + f"a,s,guestbook,{self.HUGE},\n")
+        with pytest.raises(SchemaError) as err:
+            load_events(bad_events)
+        assert (err.value.line, err.value.field) == (2, "timestamp")
+
+    def test_json_lines_timestamp_beyond_int64_is_schema_error(self, tmp_path):
+        row = {"author_id": "a", "site_id": "s", "update_id": "u1", "timestamp": self.HUGE, "role_label": "P"}
+        bad_updates = write(tmp_path, "up.jsonl", json.dumps(row) + "\n")
+        with pytest.raises(SchemaError) as err:
+            load_updates(bad_updates, fmt="json-lines")
+        assert (err.value.line, err.value.field) == (1, "timestamp")
+        row = {"actor_id": "a", "site_id": "s", "kind": "guestbook", "timestamp": self.HUGE, "update_id": ""}
+        bad_events = write(tmp_path, "ev.jsonl", "\n" + json.dumps(row) + "\n")
+        with pytest.raises(SchemaError) as err:
+            load_events(bad_events, fmt="json-lines")
+        assert (err.value.line, err.value.field) == (2, "timestamp")
+
+    def test_int64_max_is_accepted(self, tmp_path):
+        path = write(tmp_path, "up.csv", UPDATE_HEADER + f"a,s,u1,{2**63 - 1},P\n")
+        log, _ = load_updates(path)
+        assert log[0].timestamp == 2**63 - 1
+
+
 class TestResolveAmpTimestamps:
     def test_amp_takes_update_time(self):
         events, updates = make_logs(
