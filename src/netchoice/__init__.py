@@ -27,6 +27,7 @@ from .choices import (
     build_choice_sets,
     build_features,
     censored_log,
+    choice_set_features,
     eligible_candidates,
     sample_negatives,
     synth_generate,

@@ -173,44 +173,74 @@ def build_features(
 ) -> np.ndarray:
     """Feature vector for one (chooser, candidate) pair at time ``t``.
 
-    Advances the graph cursor to ``t`` (it must not already be past it).
-    Dimension is 16, or 17 with the shared-state dummy enabled.
+    The one-row case of :func:`choice_set_features`. Advances the graph
+    cursor to ``t`` (it must not already be past it). Dimension is 16, or 17
+    with the shared-state dummy enabled.
+    """
+    return choice_set_features(chooser, [candidate], t, graph, directory, include_state)[0]
+
+
+def choice_set_features(
+    chooser,
+    alternatives,
+    t,
+    graph: TemporalGraph,
+    directory: AuthorDirectory | None,
+    include_state: bool = False,
+) -> np.ndarray:
+    """Feature matrix of one choice set: row ``i`` describes ``alternatives[i]`` at ``t``.
+
+    Advances the graph cursor to ``t`` (it must not already be past it). The
+    chooser's side -- in-neighbours, undirected neighbours and weak-component
+    root -- is read once, so each row's network columns cost O(1) plus the
+    alternative's degree.
     """
     graph.advance_to(t)
-    if directory is None or candidate not in directory:
-        if graph.activation_time(candidate) is None:
-            raise UnknownCandidateError(f"candidate {candidate!r} has no activity at any time")
-    out_deg = graph.out_degree(candidate)
-    in_deg = graph.in_degree(candidate)
-    role = directory.role(candidate) if directory is not None else None
+    targets, sources = graph.adjacency(chooser)
+    chooser_in = set(sources)
+    chooser_und = chooser_in.union(targets)
+    chooser_root = graph.wcc_root(chooser)
     chooser_role = directory.role(chooser) if directory is not None else None
-    if directory is not None:
-        activity = directory.activity_features(candidate, t)
-        shared_condition = directory.shared_condition(chooser, candidate)
-    else:
-        activity = _ZERO_ACTIVITY
-        shared_condition = 0
-    values = [
-        censored_log(out_deg, 1.0),
-        float(in_deg > 0),
-        censored_log(in_deg, 1.0),
-        float(graph.has_edge(candidate, chooser)),
-        float(graph.same_wcc(chooser, candidate)),
-        float(graph.is_friend_of_friend(chooser, candidate)),
-        float(role == ROLE_MIXED),
-        float(role == ROLE_PATIENT),
-        float(role is not None and role == chooser_role),
-        float(shared_condition),
-        float(activity.is_multisite),
-        float(activity.is_mixedsite),
-        float(activity.update_count),
-        activity.update_frequency,
-        activity.days_since_most_recent_update,
-        activity.days_since_first_update,
-    ]
-    if include_state:
-        values.append(float(directory.shared_state(chooser, candidate)) if directory is not None else 0.0)
-    return np.array(values, dtype=np.float64)
+    rows = []
+    for candidate in alternatives:
+        if directory is None or candidate not in directory:
+            if graph.activation_time(candidate) is None:
+                raise UnknownCandidateError(f"candidate {candidate!r} has no activity at any time")
+        cand_targets, cand_sources = graph.adjacency(candidate)
+        out_deg, in_deg = len(cand_targets), len(cand_sources)
+        if directory is not None:
+            role = directory.role(candidate)
+            activity = directory.activity_features(candidate, t)
+            shared_condition = directory.shared_condition(chooser, candidate)
+        else:
+            role = None
+            activity = _ZERO_ACTIVITY
+            shared_condition = 0
+        # A common undirected neighbour is never the candidate or the chooser
+        # themselves: the graph has no self-edges.
+        friend_of_friend = not (chooser_und.isdisjoint(cand_targets) and chooser_und.isdisjoint(cand_sources))
+        values = [
+            censored_log(out_deg, 1.0),
+            float(in_deg > 0),
+            censored_log(in_deg, 1.0),
+            float(candidate in chooser_in),
+            float(candidate == chooser or graph.wcc_root(candidate) == chooser_root),
+            float(friend_of_friend),
+            float(role == ROLE_MIXED),
+            float(role == ROLE_PATIENT),
+            float(role is not None and role == chooser_role),
+            float(shared_condition),
+            float(activity.is_multisite),
+            float(activity.is_mixedsite),
+            float(activity.update_count),
+            activity.update_frequency,
+            activity.days_since_most_recent_update,
+            activity.days_since_first_update,
+        ]
+        if include_state:
+            values.append(float(directory.shared_state(chooser, candidate)) if directory is not None else 0.0)
+        rows.append(values)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), len(feature_names(include_state)))
 
 
 def feature_names(include_state: bool = False) -> tuple:
@@ -264,7 +294,7 @@ def build_choice_sets(
             continue
         seed = np.random.SeedSequence(sampler.seed, spawn_key=(index,))
         alternatives = [receiver] + sample_negatives(nodes, sampler.n_negatives, seed, exclude, k)
-        X = np.vstack([build_features(chooser, alt, t, graph, directory, include_state) for alt in alternatives])
+        X = choice_set_features(chooser, alternatives, t, graph, directory, include_state)
         instances.append(
             ChoiceInstance(chooser=chooser, time=t, alternatives=alternatives, chosen=0, X=X, feature_names=names)
         )
@@ -349,10 +379,7 @@ def synth_generate(config: SynthConfig) -> tuple[list[ChoiceInstance], TemporalG
         take = min(config.candidate_pool_size, len(ordered))
         pool_idx = rng.permutation(len(ordered))[:take]
         alternatives = [ordered[i] for i in pool_idx]
-        full = np.vstack(
-            [build_features(chooser, alt, t, graph, None, include_state=True) for alt in alternatives]
-        )
-        X = full[:, feature_idx]
+        X = choice_set_features(chooser, alternatives, t, graph, None, include_state=True)[:, feature_idx]
         u = X @ beta
         u -= u.max()
         p = np.exp(u)

@@ -29,6 +29,8 @@ ROLE_LABELS = ("unlabeled", "P", "CG")
 ROLE_CODES = {r: i for i, r in enumerate(ROLE_LABELS)}
 ROLE_UNLABELED, ROLE_P, ROLE_CG = 0, 1, 2
 
+_INT64_MAX = 2**63 - 1  # timestamps are stored as int64
+
 INTERACTION_COLUMNS = ("actor_id", "site_id", "kind", "timestamp", "update_id")
 UPDATE_COLUMNS = ("author_id", "site_id", "update_id", "timestamp", "role_label")
 
@@ -137,6 +139,15 @@ class LogVocab:
         self.updates = Vocab()
 
 
+def _check_timestamp(timestamp, line, minimum=0) -> None:
+    """Reject a record's timestamp below ``minimum`` or past what int64 storage holds."""
+    if timestamp < minimum:
+        message = f"timestamp below {minimum}: {timestamp!r}" if minimum else "negative timestamp"
+        raise SchemaError(message, line=line, field="timestamp")
+    if timestamp > _INT64_MAX:
+        raise SchemaError(f"timestamp exceeds {_INT64_MAX}: {timestamp!r}", line=line, field="timestamp")
+
+
 def _validate_interaction(ev: InteractionEvent, line=None) -> None:
     if ev.kind not in KIND_CODES:
         raise SchemaError(f"unknown kind '{ev.kind}'", line=line, field="kind")
@@ -147,8 +158,8 @@ def _validate_interaction(ev: InteractionEvent, line=None) -> None:
     if ev.timestamp is None:
         if ev.kind != "amp":
             raise SchemaError("timestamp required for non-amp events", line=line, field="timestamp")
-    elif ev.timestamp < 0:
-        raise SchemaError("negative timestamp", line=line, field="timestamp")
+    else:
+        _check_timestamp(ev.timestamp, line)
     if ev.update_id is None and ev.kind in ("amp", "comment"):
         raise SchemaError(f"update_id required for kind '{ev.kind}'", line=line, field="update_id")
 
@@ -159,8 +170,7 @@ def _validate_update(ev: UpdateEvent, line=None) -> None:
             raise SchemaError(f"missing {field}", line=line, field=field)
     if ev.timestamp is None:
         raise SchemaError("missing timestamp", line=line, field="timestamp")
-    if ev.timestamp < 0:
-        raise SchemaError("negative timestamp", line=line, field="timestamp")
+    _check_timestamp(ev.timestamp, line)
     if ev.role_label not in ROLE_CODES:
         raise SchemaError(f"unknown role_label '{ev.role_label}'", line=line, field="role_label")
 
@@ -341,9 +351,10 @@ class DirectedInteractionLog(Sequence):
         src, dst, site = array("i"), array("i"), array("i")
         ts = array("q")
         kind = array("b")
-        for rec in records:
+        for i, rec in enumerate(records):
             if rec.source_author == rec.target_author:
                 raise ValueError(f"self-interaction {rec.source_author!r} -> itself")
+            _check_timestamp(rec.timestamp, i, minimum=-_INT64_MAX - 1)  # negative times stay allowed here
             src.append(vocab.authors.code(rec.source_author))
             dst.append(vocab.authors.code(rec.target_author))
             ts.append(rec.timestamp)
@@ -378,9 +389,6 @@ class DirectedInteractionLog(Sequence):
     def __iter__(self) -> Iterator[DirectedInteraction]:
         for i in range(len(self)):
             yield self[i]
-
-
-_INT64_MAX = 2**63 - 1  # timestamps are stored as int64
 
 
 def _parse_int(text, line, field, minimum=0):

@@ -2,11 +2,17 @@
 
 The graph is built once from a directed interaction stream (one edge per
 ordered author pair, stamped with the pair's first interaction time) and then
-replayed chronologically: ``advance_to(t)`` applies every edge strictly
-before ``t``, after which degree, adjacency, weak-component, and
-friend-of-friend queries all answer against the state *before* ``t``. Strict
-semantics guarantee that a choice set assembled at an initiation's timestamp
-never sees the initiation itself.
+replayed chronologically: ``advance_to(t)`` moves the cursor to ``t`` and
+joins the weak components of every edge strictly before ``t``, after which
+degree, adjacency, weak-component, and friend-of-friend queries all answer
+against the state *before* ``t``. Strict semantics guarantee that a choice set
+assembled at an initiation's timestamp never sees the initiation itself.
+
+Adjacency is not replayed. Each node's out- and in-edges form rows sorted by
+(time, edge order), cut from one stable sort of the edge arrays the first
+time the node is queried; a query reads the part of a row strictly before the
+cursor with one binary search. ``append_edge`` extends the cached rows of
+both endpoints, so the index is never rebuilt.
 
 Union-find supports no deletion, so the cursor is monotone; callers replay
 history in order, which is how every analysis here consumes the network.
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left
 
 import numpy as np
 
@@ -58,27 +65,51 @@ class UnionFind:
         return root
 
     def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb and ra in self.parent:
-            return False
-        for r in (ra, rb):
-            if r not in self.parent:
-                self.parent[r] = r
-                self.size[r] = 1
-                self.n_components += 1
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        del self.size[rb]
-        self.n_components -= 1
-        if self.size[ra] > self.largest_size:
-            self.largest_size = self.size[ra]
-            self.largest_root = ra
-        return True
+        """Join the components of ``a`` and ``b``; False when they already were one."""
+        return self.union_pairs((a,), (b,)) > 0
+
+    def union_pairs(self, srcs, dsts) -> int:
+        """Union ``srcs[i]`` with ``dsts[i]`` for every ``i``.
+
+        Returns how many of the unions merged two components. ``find`` is
+        inlined, so a long edge list costs no call per pair.
+        """
+        parent, size = self.parent, self.size
+        largest_size, largest_root, n_components = self.largest_size, self.largest_root, self.n_components
+        merges = 0
+        for a, b in zip(srcs, dsts):
+            if a in parent:
+                ra = parent[a]
+                while parent[ra] != ra:
+                    ra = parent[ra]
+                while parent[a] != ra:
+                    parent[a], a = ra, parent[a]
+            else:
+                parent[a] = ra = a
+                size[a] = 1
+                n_components += 1
+            if b in parent:
+                rb = parent[b]
+                while parent[rb] != rb:
+                    rb = parent[rb]
+                while parent[b] != rb:
+                    parent[b], b = rb, parent[b]
+            else:
+                parent[b] = rb = b
+                size[b] = 1
+                n_components += 1
+            if ra == rb:
+                continue
+            if size[ra] < size[rb]:
+                ra, rb = rb, ra
+            parent[rb] = ra
+            merged = size[ra] = size[ra] + size.pop(rb)
+            n_components -= 1
+            merges += 1
+            if merged > largest_size:
+                largest_size, largest_root = merged, ra
+        self.largest_size, self.largest_root, self.n_components = largest_size, largest_root, n_components
+        return merges
 
     def component_size(self, x) -> int:
         return self.size.get(self.find(x), 1)
@@ -107,6 +138,72 @@ class ComponentState:
         return self.dsu.largest_size
 
 
+def _as_list(seq) -> list:
+    return seq.tolist() if isinstance(seq, np.ndarray) else seq
+
+
+def _edge_codes(srcs, dsts):
+    """Int codes of both endpoint columns, the code count, and the node -> code map.
+
+    Arrays built from a log already hold int codes (the map is then None);
+    any other node keys are interned in order of first appearance.
+    """
+    if isinstance(srcs, np.ndarray):
+        return srcs, dsts, int(max(srcs.max(), dsts.max())) + 1 if len(srcs) else 0, None
+    code_of: dict = {}
+    src_codes = np.array([code_of.setdefault(x, len(code_of)) for x in srcs], dtype=np.int64)
+    dst_codes = np.array([code_of.setdefault(x, len(code_of)) for x in dsts], dtype=np.int64)
+    return src_codes, dst_codes, len(code_of), code_of
+
+
+def _csr(keys, n: int):
+    """Stable order of ``keys`` and the row offsets of each key in ``range(n)``."""
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=offsets[1:])
+    return np.argsort(keys, kind="stable"), offsets
+
+
+class _RowIndex:
+    """Every node's out- and in-edges, sorted by (node, time, edge order).
+
+    Edges are stored in time order, so a stable sort on the node code alone
+    keeps each row in (time, edge order).
+    """
+
+    __slots__ = ("code_of", "n_codes", "out_offsets", "out_times", "targets", "in_offsets", "in_times", "sources")
+
+    def __init__(self, times, srcs, dsts):
+        src_codes, dst_codes, self.n_codes, self.code_of = _edge_codes(srcs, dsts)
+        if self.code_of is None:
+            src_nodes, dst_nodes = src_codes, dst_codes
+        else:
+            src_nodes = np.fromiter(srcs, dtype=object, count=len(srcs))
+            dst_nodes = np.fromiter(dsts, dtype=object, count=len(dsts))
+        times = np.asarray(times)
+        order, offsets = _csr(src_codes, self.n_codes)
+        self.out_offsets, self.out_times, self.targets = offsets.tolist(), times[order], dst_nodes[order]
+        order, offsets = _csr(dst_codes, self.n_codes)
+        self.in_offsets, self.in_times, self.sources = offsets.tolist(), times[order], src_nodes[order]
+
+    def row(self, node) -> tuple[list, list, list, list]:
+        """(out times, targets, in times, sources) of ``node``, as fresh lists."""
+        if self.code_of is None:
+            ok = isinstance(node, (int, np.integer)) and 0 <= node < self.n_codes
+            code = int(node) if ok else None
+        else:
+            code = self.code_of.get(node)
+        if code is None:
+            return [], [], [], []
+        a, b = self.out_offsets[code], self.out_offsets[code + 1]
+        c, d = self.in_offsets[code], self.in_offsets[code + 1]
+        return (
+            self.out_times[a:b].tolist(),
+            self.targets[a:b].tolist(),
+            self.in_times[c:d].tolist(),
+            self.sources[c:d].tolist(),
+        )
+
+
 class TemporalGraph:
     """Unique-edge author network replayed through a monotone time cursor."""
 
@@ -117,11 +214,10 @@ class TemporalGraph:
         self._dsts: np.ndarray | list = np.zeros(0, dtype=np.int64)
         self._counts: np.ndarray | list = np.zeros(0, dtype=np.int64)
         self._activation: dict = {}
-        self._act_times: np.ndarray | None = None
+        self._act_times: list | None = None
         self._act_nodes: list | None = None
-        self._out: dict = {}
-        self._in: dict = {}
-        self._und: dict = {}
+        self._index: _RowIndex | None = None
+        self._rows: dict = {}  # node -> _RowIndex.row(node), extended by append_edge
         self._dsu = UnionFind()
         self._cursor = -math.inf
         self._ptr = 0
@@ -149,11 +245,13 @@ class TemporalGraph:
             self._activation[node] = time
             self._act_times = None
 
-    def _activation_arrays(self):
+    def _activation_order(self):
         if self._act_times is None:
-            items = sorted(self._activation.items(), key=lambda kv: (kv[1], str(kv[0])))
-            self._act_nodes = [node for node, _ in items]
-            self._act_times = np.array([t for _, t in items], dtype=np.float64)
+            nodes = list(self._activation)
+            times = np.array(list(self._activation.values()))
+            order = np.lexsort((np.array([str(node) for node in nodes]), times))
+            self._act_nodes = [nodes[i] for i in order.tolist()]
+            self._act_times = times[order].tolist()
         return self._act_times, self._act_nodes
 
     def activation_time(self, node):
@@ -166,14 +264,14 @@ class TemporalGraph:
         ``nodes[:k]`` are the nodes activated before ``t``; the list is shared,
         not copied, and stays valid until the next registration or append.
         """
-        times, nodes = self._activation_arrays()
-        return nodes, int(np.searchsorted(times, t, side="left"))
+        times, nodes = self._activation_order()
+        return nodes, bisect_left(times, t)
 
     def activated_count(self, t=None) -> int:
         """Nodes activated strictly before ``t`` (default: the cursor)."""
         t = self._cursor if t is None else t
-        times, _ = self._activation_arrays()
-        return int(np.searchsorted(times, t, side="left"))
+        times, _ = self._activation_order()
+        return bisect_left(times, t)
 
     def nodes_activated_before(self, t) -> list:
         nodes, k = self.activation_prefix(t)
@@ -181,23 +279,18 @@ class TemporalGraph:
 
     # -- replay ------------------------------------------------------------
 
-    def _apply_edge(self, src, dst) -> None:
-        self._out.setdefault(src, set()).add(dst)
-        self._in.setdefault(dst, set()).add(src)
-        self._und.setdefault(src, set()).add(dst)
-        self._und.setdefault(dst, set()).add(src)
-        self._dsu.union(src, dst)
-
     def advance_to(self, t) -> None:
-        """Apply every edge with time strictly before ``t`` and move the cursor."""
+        """Move the cursor to ``t``, joining the components of every edge strictly before it."""
         if t < self._cursor:
             raise MonotonicityError(f"cursor at {self._cursor} cannot move back to {t}")
-        times, srcs, dsts = self._times, self._srcs, self._dsts
-        ptr, n = self._ptr, len(times)
-        while ptr < n and times[ptr] < t:
-            self._apply_edge(srcs[ptr], dsts[ptr])
-            ptr += 1
-        self._ptr = ptr
+        times, ptr = self._times, self._ptr
+        if isinstance(times, np.ndarray):
+            end = int(np.searchsorted(times, t, side="left"))
+        else:
+            end = bisect_left(times, t, ptr)
+        if end > ptr:
+            self._dsu.union_pairs(_as_list(self._srcs[ptr:end]), _as_list(self._dsts[ptr:end]))
+            self._ptr = end
         self._cursor = t
 
     def _to_mutable(self) -> None:
@@ -232,6 +325,16 @@ class TemporalGraph:
         self._srcs.append(src)
         self._dsts.append(dst)
         self._counts.append(1)
+        if self._index is not None:
+            # Rows not yet cached are cut from the index, which holds no edge
+            # appended after it was built; so every appended edge must be in
+            # the cached rows of both its endpoints.
+            out_times, targets, _, _ = self._row(src)
+            out_times.append(t)
+            targets.append(dst)
+            _, _, in_times, sources = self._row(dst)
+            in_times.append(t)
+            sources.append(src)
         for node in (src, dst):
             known = self._activation.get(node)
             if known is None or t < known:
@@ -241,34 +344,47 @@ class TemporalGraph:
 
     # -- queries (state strictly before the cursor) -------------------------
 
+    def _row(self, node) -> tuple[list, list, list, list]:
+        row = self._rows.get(node)
+        if row is None:
+            if self._index is None:
+                self._index = _RowIndex(self._times, self._srcs, self._dsts)
+            row = self._rows[node] = self._index.row(node)
+        return row
+
+    def adjacency(self, a) -> tuple[list, list]:
+        """``a``'s targets and sources over the edges strictly before the cursor."""
+        out_times, targets, in_times, sources = self._row(a)
+        cursor = self._cursor
+        return targets[: bisect_left(out_times, cursor)], sources[: bisect_left(in_times, cursor)]
+
     def out_degree(self, a) -> int:
-        return len(self._out.get(a, ()))
+        return bisect_left(self._row(a)[0], self._cursor)
 
     def in_degree(self, a) -> int:
-        return len(self._in.get(a, ()))
+        return bisect_left(self._row(a)[2], self._cursor)
 
     def out_neighbors(self, a) -> set:
-        return set(self._out.get(a, ()))
+        return set(self.adjacency(a)[0])
 
     def has_edge(self, a, b) -> bool:
-        nbrs = self._out.get(a)
-        return nbrs is not None and b in nbrs
+        out_times, targets, _, _ = self._row(a)
+        return b in targets[: bisect_left(out_times, self._cursor)]
 
     def same_wcc(self, a, b) -> bool:
         return self._dsu.same_component(a, b)
 
+    def wcc_root(self, a):
+        """Representative of ``a``'s weak component; equal roots mean one component."""
+        return self._dsu.find(a)
+
     def is_friend_of_friend(self, a, b) -> bool:
         """True when some third node is an undirected neighbor of both."""
-        na = self._und.get(a)
-        nb = self._und.get(b)
-        if not na or not nb:
-            return False
-        if len(na) > len(nb):
-            na, nb = nb, na
-        for c in na:
-            if c != a and c != b and c in nb:
-                return True
-        return False
+        # With no self-edges, a common neighbour is never a or b itself.
+        targets, sources = self.adjacency(a)
+        und = set(targets).union(sources)
+        targets, sources = self.adjacency(b)
+        return not (und.isdisjoint(targets) and und.isdisjoint(sources))
 
     def component_state(self) -> ComponentState:
         return ComponentState(self._dsu, self.activated_count())
@@ -282,11 +398,10 @@ class TemporalGraph:
 
     def scc_snapshot(self) -> list[int]:
         """Strongly-connected component sizes (descending) before the cursor."""
-        sizes = _tarjan_scc_sizes(self._out)
-        seen = set(self._out)
-        seen.update(self._in)
-        isolates = self.activated_count() - len(seen)
-        sizes.extend([1] * isolates)
+        src_codes, dst_codes, n_codes, _ = _edge_codes(self._srcs[: self._ptr], self._dsts[: self._ptr])
+        sizes = _tarjan_scc_sizes(src_codes, dst_codes, n_codes)
+        # Every endpoint lies in exactly one SCC; the other activated nodes are isolates.
+        sizes.extend([1] * (self.activated_count() - sum(sizes)))
         sizes.sort(reverse=True)
         return sizes
 
@@ -396,54 +511,61 @@ def _register_endpoint_activations(graph: TemporalGraph) -> None:
     graph._act_times = None
 
 
-def _tarjan_scc_sizes(adjacency: dict) -> list[int]:
-    """Iterative Tarjan over a dict-of-sets adjacency; returns component sizes."""
-    index: dict = {}
-    lowlink: dict = {}
-    on_stack: set = set()
-    stack: list = []
+def _tarjan_scc_sizes(src_codes, dst_codes, n: int) -> list[int]:
+    """Iterative Tarjan over the edges ``src_codes[i] -> dst_codes[i]``, all codes below ``n``.
+
+    Returns the component sizes of every node with an edge.
+    """
+    order, offsets = _csr(src_codes, n)
+    offsets = offsets.tolist()
+    adjacency = dst_codes[order].tolist()
+    endpoints = np.bincount(src_codes, minlength=n) + np.bincount(dst_codes, minlength=n)
+    index = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
     sizes: list[int] = []
     counter = 0
-    nodes = set(adjacency)
-    for targets in adjacency.values():
-        nodes.update(targets)
-    for root in nodes:
-        if root in index:
+    for root in np.flatnonzero(endpoints).tolist():
+        if index[root] >= 0:
             continue
-        work = [(root, iter(adjacency.get(root, ())))]
         index[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
+        work = [[root, offsets[root]]]
         while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
+            frame = work[-1]
+            v, i = frame
+            end = offsets[v + 1]
+            while i < end:
+                w = adjacency[i]
+                i += 1
+                if index[w] < 0:
+                    frame[1] = i
                     index[w] = lowlink[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(adjacency.get(w, ()))))
-                    advanced = True
+                    on_stack[w] = True
+                    work.append([w, offsets[w]])
                     break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                size = 0
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    size += 1
-                    if w == v:
-                        break
-                sizes.append(size)
+                if on_stack[w] and index[w] < lowlink[v]:
+                    lowlink[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if lowlink[v] < lowlink[parent]:
+                        lowlink[parent] = lowlink[v]
+                if lowlink[v] == index[v]:
+                    size = 0
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        size += 1
+                        if w == v:
+                            break
+                    sizes.append(size)
     return sizes
 
 
@@ -451,19 +573,24 @@ def largest_wcc_share_series(graph: TemporalGraph):
     """Replay a fresh graph and yield (time, activated, largest_size, share).
 
     One row per distinct edge time, with the state including all edges at
-    that time. The graph must not have been advanced yet.
+    that time; after each row the cursor sits just past that time. The graph
+    must not have been advanced yet.
     """
     if graph._ptr != 0:
         raise ValueError("series requires an un-replayed graph")
-    times = graph._times
-    n = len(times)
-    i = 0
-    while i < n:
-        t = times[i]
-        while i < n and times[i] == t:
-            i += 1
-        graph.advance_to(t + 1)
-        activated = graph.activated_count()
-        largest = max(graph._dsu.largest_size, 1) if activated else 0
-        share = largest / activated if activated else float("nan")
-        yield int(t), activated, largest, share
+    times = np.asarray(graph._times)
+    if len(times) == 0:
+        return
+    starts = np.flatnonzero(np.concatenate(([True], times[1:] != times[:-1])))
+    ends = np.append(starts[1:], len(times)).tolist()
+    group_times = times[starts]
+    act_times, _ = graph._activation_order()
+    # Activated at or before t, i.e. strictly before the cursor t + 1 (which could wrap in int64).
+    activated = np.searchsorted(np.asarray(act_times), group_times, side="right").tolist()
+    srcs, dsts, dsu = _as_list(graph._srcs), _as_list(graph._dsts), graph._dsu
+    for t, start, end, count in zip(group_times.tolist(), starts.tolist(), ends, activated):
+        dsu.union_pairs(srcs[start:end], dsts[start:end])
+        graph._ptr, graph._cursor = end, t + 1
+        largest = max(dsu.largest_size, 1) if count else 0
+        share = largest / count if count else float("nan")
+        yield int(t), count, largest, share

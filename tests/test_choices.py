@@ -15,6 +15,7 @@ from netchoice.choices import (
     build_choice_sets,
     build_features,
     censored_log,
+    choice_set_features,
     eligible_candidates,
     feature_names,
     sample_negatives,
@@ -207,6 +208,42 @@ class TestFeatures:
             assert by["is_state_assignment_shared"] == float(
                 states[candidate] is not None and states[candidate] == states[chooser]
             )
+
+
+class TestChoiceSetFeatures:
+    @pytest.mark.parametrize("include_state", [False, True])
+    def test_rows_equal_build_features(self, include_state):
+        """Rows on a graph grown by appends equal one-row calls on the graph built whole.
+
+        The times are edge times, where "strictly before" matters, and the
+        degree and reciprocity columns are also checked against a scan.
+        """
+        edges, _, directory, whole = make_world(seed=12, n_authors=14, n_edges=160)
+        split = 250
+        grown = build([e for e in edges if e[2] < split], extra_nodes=directory.first_update_times())
+        later = sorted((e for e in edges if e[2] >= split), key=lambda e: e[2])
+        authors = [f"a{i}" for i in range(14)]
+        rng = np.random.default_rng(4)
+        j = 0
+        for t in sorted({int(t) for t in rng.choice([e[2] for e in edges], size=30)}):
+            while j < len(later) and later[j][2] < t:
+                grown.append_edge(*later[j])
+                j += 1
+            chooser = authors[int(rng.integers(14))]
+            alternatives = [authors[i] for i in rng.permutation(14)[:8]]
+            X = choice_set_features(chooser, alternatives, t, grown, directory, include_state)
+            assert X.shape == (8, len(feature_names(include_state)))
+            prior = {(s, d) for s, d, tau in edges if tau < t}
+            for row, alt in zip(X, alternatives):
+                assert np.array_equal(row, build_features(chooser, alt, t, whole, directory, include_state))
+                assert row[0] == censored_log(len({d for s, d in prior if s == alt}), 1.0)
+                assert row[2] == censored_log(len({s for s, d in prior if d == alt}), 1.0)
+                assert row[3] == float((alt, chooser) in prior)
+
+    def test_unknown_alternative_rejected(self):
+        g = build([("a", "b", 1)])
+        with pytest.raises(ValueError):
+            choice_set_features("a", ["b", "ghost"], 5, g, None)
 
 
 class TestBuildChoiceSets:

@@ -6,6 +6,8 @@ import pytest
 from conftest import interaction_multiset, make_logs, project_oracle, random_event_fixture
 
 from netchoice.events import (
+    DirectedInteraction,
+    DirectedInteractionLog,
     EventLog,
     InteractionEvent,
     LogVocab,
@@ -150,6 +152,29 @@ class TestTimestampRange:
         path = write(tmp_path, "up.csv", UPDATE_HEADER + f"a,s,u1,{2**63 - 1},P\n")
         log, _ = load_updates(path)
         assert log[0].timestamp == 2**63 - 1
+
+    def test_records_timestamp_beyond_int64_is_schema_error(self):
+        updates = [UpdateEvent("a", "s", "u1", 5, "P"), UpdateEvent("a", "s", "u2", self.HUGE, "P")]
+        with pytest.raises(SchemaError) as err:
+            UpdateLog.from_records(updates)
+        assert (err.value.line, err.value.field) == (1, "timestamp")
+        with pytest.raises(SchemaError) as err:
+            EventLog.from_records([InteractionEvent("a", "s", "guestbook", self.HUGE)])
+        assert (err.value.line, err.value.field) == (0, "timestamp")
+        records = [
+            DirectedInteraction("a", "b", 3, "guestbook", "s"),
+            DirectedInteraction("b", "a", self.HUGE, "guestbook", "s"),
+        ]
+        with pytest.raises(SchemaError) as err:
+            DirectedInteractionLog.from_records(records)
+        assert (err.value.line, err.value.field) == (1, "timestamp")
+
+    def test_records_int64_max_is_accepted(self):
+        top = 2**63 - 1
+        assert UpdateLog.from_records([UpdateEvent("a", "s", "u1", top, "P")])[0].timestamp == top
+        assert EventLog.from_records([InteractionEvent("a", "s", "guestbook", top)])[0].timestamp == top
+        log = DirectedInteractionLog.from_records([DirectedInteraction("a", "b", top, "guestbook", "s")])
+        assert log[0].timestamp == top
 
 
 class TestResolveAmpTimestamps:

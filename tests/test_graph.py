@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import bfs_components, component_of, random_edge_stream
 
+from netchoice.events import DirectedInteraction, DirectedInteractionLog
 from netchoice.graph import (
     MonotonicityError,
     TemporalGraph,
@@ -317,3 +320,151 @@ def test_union_find_component_sizes():
     assert dsu.component_size(1) == 4
     assert dsu.largest_size == 4
     assert dsu.component_size(99) == 1
+
+
+def scc_sizes_oracle(pairs, activated) -> list[int]:
+    """SCC sizes by transitive closure; activated nodes without edges are singletons."""
+    nodes = {n for pair in pairs for n in pair} | set(activated)
+    reach = {n: {n} for n in nodes}
+    changed = True
+    while changed:
+        changed = False
+        for s, d in pairs:
+            new = reach[d] - reach[s]
+            if new:
+                reach[s] |= new
+                changed = True
+    assigned, sizes = set(), []
+    for n in nodes:
+        if n not in assigned:
+            scc = {m for m in reach[n] if n in reach[m]}
+            assigned |= scc
+            sizes.append(len(scc))
+    return sorted(sizes, reverse=True)
+
+
+def coded_graph(stream, extra_nodes):
+    """An int-coded graph (built from a log) and the label -> code map."""
+    records = [DirectedInteraction(s, d, t, "guestbook", "site") for s, d, t in stream]
+    log = DirectedInteractionLog.from_records(records)
+    extra = {log.vocab.authors.code(n): t for n, t in extra_nodes.items()}
+    code = {log.vocab.authors.id(c): c for c in range(len(log.vocab.authors))}
+    return build(log, extra_nodes=extra), code
+
+
+class TestQueriesAgainstScan:
+    """Every adjacency query at every cursor equals a scan of the edges strictly before it.
+
+    Part of each stream is appended after the build, interleaved with the
+    queries, so rows cached (or not yet cached) before an append must show
+    the appended edge once the cursor has passed it.
+    """
+
+    @staticmethod
+    def check(g, node, edges, activation, cursor, queried):
+        pairs = {(s, d) for s, d, t in edges if t < cursor}
+        activated = [n for n, t in activation.items() if t < cursor]
+        und = {n: set() for n in queried}
+        for s, d in pairs:
+            und.setdefault(s, set()).add(d)
+            und.setdefault(d, set()).add(s)
+        comps = bfs_components(pairs)
+        assert g.activated_count() == len(activated)
+        assert g.scc_snapshot() == scc_sizes_oracle(pairs, activated), cursor
+        for a in queried:
+            outs = {d for s, d in pairs if s == a}
+            ins = {s for s, d in pairs if d == a}
+            assert g.out_degree(node[a]) == len(outs), (cursor, a)
+            assert g.in_degree(node[a]) == len(ins), (cursor, a)
+            assert g.out_neighbors(node[a]) == {node[d] for d in outs}, (cursor, a)
+            comp_a = component_of(comps, a)
+            for b in queried:
+                assert g.has_edge(node[a], node[b]) == ((a, b) in pairs), (cursor, a, b)
+                assert g.same_wcc(node[a], node[b]) == (a == b or (comp_a is not None and b in comp_a))
+                fof = bool((und[a] & und[b]) - {a, b})
+                assert g.is_friend_of_friend(node[a], node[b]) == fof, (cursor, a, b)
+
+    @pytest.mark.parametrize("coded", [False, True], ids=["labels", "int-codes"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_interleaved_appends(self, seed, coded):
+        rng = np.random.default_rng(100 + seed)
+        labels = [f"n{i}" for i in range(12)]
+        stream = [(labels[s], labels[d], t) for s, d, t in random_edge_stream(rng, n_nodes=12, n_edges=70, t_max=40)]
+        split = 20
+        built = [e for e in stream if e[2] < split]
+        later = sorted((e for e in stream if e[2] >= split), key=lambda e: e[2])
+        extra = {"z0": 3, "z1": 25}
+        if coded:
+            g, code = coded_graph(built, extra)
+            # Nodes first seen in appended edges get fresh codes.
+            for s, d, _ in later:
+                for n in (s, d):
+                    code.setdefault(n, len(code))
+        else:
+            g = build(built, extra_nodes=extra)
+            code = {n: n for n in labels + list(extra)}
+        activation = dict(extra)
+        for s, d, t in built:
+            for n in (s, d):
+                activation[n] = min(activation.get(n, t), t)
+        nodes = sorted(code)
+        cursors = sorted({t for _, _, t in stream} | {0, 41})
+        applied, j = list(built), 0
+        for k, cursor in enumerate(cursors):
+            g.advance_to(cursor)
+            # Query a growing subset, so some rows are first cut after appends.
+            queried = nodes[: 2 + k * len(nodes) // len(cursors)]
+            self.check(g, code, applied, activation, cursor, queried)
+            stop = cursors[k + 1] if k + 1 < len(cursors) else math.inf
+            while j < len(later) and later[j][2] < stop:
+                s, d, t = later[j]
+                g.append_edge(code[s], code[d], t)
+                applied.append(later[j])
+                for n in (s, d):
+                    activation[n] = min(activation.get(n, t), t)
+                j += 1
+        assert j == len(later)
+
+
+class TestSeriesAgainstReplay:
+    @pytest.mark.parametrize("coded", [False, True], ids=["labels", "int-codes"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_match_per_time_advance_and_bfs(self, seed, coded):
+        rng = np.random.default_rng(200 + seed)
+        labels = [f"n{i}" for i in range(25)]
+        stream = [(labels[s], labels[d], t) for s, d, t in random_edge_stream(rng, n_nodes=25, n_edges=90, t_max=60)]
+        extra = {"z0": 0, "z1": 30, "n0": 70}
+
+        def fresh():
+            return coded_graph(stream, extra)[0] if coded else build(stream, extra_nodes=extra)
+
+        g = fresh()
+        rows = list(largest_wcc_share_series(g))
+        first = {}
+        for s, d, t in stream:
+            first[(s, d)] = min(first.get((s, d), t), t)
+        times = sorted(set(first.values()))
+        assert [r[0] for r in rows] == times
+        assert g.cursor == times[-1] + 1
+        replayed = fresh()
+        activation = dict(extra)
+        for s, d, t in stream:
+            for n in (s, d):
+                activation[n] = min(activation.get(n, t), t)
+        for t, activated, largest, share in rows:
+            replayed.advance_to(t + 1)
+            assert activated == replayed.activated_count()
+            assert activated == sum(1 for at in activation.values() if at <= t)
+            comps = bfs_components([(s, d) for s, d, tau in stream if tau <= t])
+            assert largest == max(len(c) for c in comps)
+            assert share == pytest.approx(largest / activated)
+            assert share == pytest.approx(replayed.largest_wcc_share())
+
+    def test_int64_max_timestamp(self):
+        """The loaders accept 2**63 - 1; the row at that time and the cursor past it stay exact."""
+        top = 2**63 - 1
+        records = [DirectedInteraction("a", "b", 5, "guestbook", "s"), DirectedInteraction("b", "c", top, "guestbook", "s")]
+        g = build(DirectedInteractionLog.from_records(records))
+        assert list(largest_wcc_share_series(g)) == [(5, 2, 2, 1.0), (top, 3, 3, 1.0)]
+        assert g.activated_count() == 3
+        assert g.largest_wcc_share() == 1.0
