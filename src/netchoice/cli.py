@@ -282,10 +282,6 @@ def _directory(cfg: RunConfig, updates):
     )
 
 
-def _classified_initiations(interactions):
-    return init_mod.initiations_from_interactions(interactions)
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -357,7 +353,7 @@ def _cmd_network(cfg: RunConfig, args) -> int:
 
 def _cmd_initiations(cfg: RunConfig, args) -> int:
     interactions, _, _ = _projected(cfg)
-    inits = _classified_initiations(interactions)
+    inits = init_mod.initiations_from_interactions(interactions)
     vocab = interactions.vocab
     init_mod.write_initiations_csv(
         _out(cfg, "initiations.csv"),
@@ -389,8 +385,8 @@ def _cmd_authors(cfg: RunConfig, args) -> int:
 def _cmd_features(cfg: RunConfig, args) -> int:
     interactions, updates, _ = _projected(cfg)
     directory = _directory(cfg, updates)
-    inits = _classified_initiations(interactions)
     g = graph_mod.build(interactions, extra_nodes=directory.first_update_times())
+    inits = init_mod.initiations_from_interactions(g)
     names = choices_mod.feature_names(cfg.include_state)
     vocab = interactions.vocab
     path = _out(cfg, "features.csv")
@@ -423,8 +419,8 @@ def _cmd_features(cfg: RunConfig, args) -> int:
 def _cmd_sample(cfg: RunConfig, args) -> int:
     interactions, updates, _ = _projected(cfg)
     directory = _directory(cfg, updates)
-    inits = _classified_initiations(interactions)
     g = graph_mod.build(interactions, extra_nodes=directory.first_update_times())
+    inits = init_mod.initiations_from_interactions(g)
     sampler = choices_mod.SamplerConfig(n_negatives=cfg.negatives, seed=derive_seed(cfg.seed, STAGE_SAMPLE))
     instances, skipped = choices_mod.build_choice_sets(inits, g, directory, sampler, cfg.include_state)
     vocab = interactions.vocab

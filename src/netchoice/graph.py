@@ -8,8 +8,19 @@ degree, adjacency, weak-component, and friend-of-friend queries all answer
 against the state *before* ``t``. Strict semantics guarantee that a choice set
 assembled at an initiation's timestamp never sees the initiation itself.
 
+One reduction builds every graph. ``build`` turns its input into three int64
+columns -- a log already holds vocabulary codes; record labels are interned
+in sorted order, so codes sort like the labels -- and one numpy pass keeps
+the first edge per ordered pair with its interaction count, finds every
+endpoint's activation time and rejects self-edges. The edges are stored as
+``array('q')`` code columns in (time, source, target) order, which
+``append_edge`` grows. A graph whose nodes are not vocabulary codes also
+keeps a label table; node keys and codes are translated only when an edge is
+stored, a row is cut, unions are fed, and in ``edges()``, so every query is
+keyed by the node keys callers pass.
+
 Adjacency is not replayed. Each node's out- and in-edges form rows sorted by
-(time, edge order), cut from one stable sort of the edge arrays the first
+(time, edge order), cut from one stable sort of the edge columns the first
 time the node is queried; a query reads the part of a row strictly before the
 cursor with one binary search. ``append_edge`` extends the cached rows of
 both endpoints, so the index is never rebuilt.
@@ -22,11 +33,16 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from bisect import bisect_left
 
 import numpy as np
 
 from .events import DirectedInteraction, DirectedInteractionLog
+
+
+class InvalidEdgeError(ValueError):
+    """An edge with identical endpoints: no graph or initiation can hold it."""
 
 
 class MonotonicityError(ValueError):
@@ -119,41 +135,18 @@ class UnionFind:
 
 
 class ComponentState:
-    """Weak-component view: union-find plus the activated-node count."""
+    """Weak-component view of a union-find, as initiation classification reads it."""
 
-    __slots__ = ("dsu", "activated_count")
+    __slots__ = ("dsu",)
 
-    def __init__(self, dsu: UnionFind, activated_count: int | None = None):
+    def __init__(self, dsu: UnionFind):
         self.dsu = dsu
-        self.activated_count = activated_count
 
     def component_size(self, x) -> int:
         return self.dsu.component_size(x)
 
     def same_component(self, a, b) -> bool:
         return self.dsu.same_component(a, b)
-
-    @property
-    def largest_size(self) -> int:
-        return self.dsu.largest_size
-
-
-def _as_list(seq) -> list:
-    return seq.tolist() if isinstance(seq, np.ndarray) else seq
-
-
-def _edge_codes(srcs, dsts):
-    """Int codes of both endpoint columns, the code count, and the node -> code map.
-
-    Arrays built from a log already hold int codes (the map is then None);
-    any other node keys are interned in order of first appearance.
-    """
-    if isinstance(srcs, np.ndarray):
-        return srcs, dsts, int(max(srcs.max(), dsts.max())) + 1 if len(srcs) else 0, None
-    code_of: dict = {}
-    src_codes = np.array([code_of.setdefault(x, len(code_of)) for x in srcs], dtype=np.int64)
-    dst_codes = np.array([code_of.setdefault(x, len(code_of)) for x in dsts], dtype=np.int64)
-    return src_codes, dst_codes, len(code_of), code_of
 
 
 def _csr(keys, n: int):
@@ -163,36 +156,30 @@ def _csr(keys, n: int):
     return np.argsort(keys, kind="stable"), offsets
 
 
+def _code_span(src_codes, dst_codes) -> int:
+    """One more than the largest code in either column (0 when both are empty)."""
+    return int(max(src_codes.max(), dst_codes.max())) + 1 if len(src_codes) else 0
+
+
 class _RowIndex:
-    """Every node's out- and in-edges, sorted by (node, time, edge order).
+    """Every node's out- and in-edges, sorted by (node code, time, edge order).
 
     Edges are stored in time order, so a stable sort on the node code alone
     keeps each row in (time, edge order).
     """
 
-    __slots__ = ("code_of", "n_codes", "out_offsets", "out_times", "targets", "in_offsets", "in_times", "sources")
+    __slots__ = ("n_codes", "out_offsets", "out_times", "targets", "in_offsets", "in_times", "sources")
 
-    def __init__(self, times, srcs, dsts):
-        src_codes, dst_codes, self.n_codes, self.code_of = _edge_codes(srcs, dsts)
-        if self.code_of is None:
-            src_nodes, dst_nodes = src_codes, dst_codes
-        else:
-            src_nodes = np.fromiter(srcs, dtype=object, count=len(srcs))
-            dst_nodes = np.fromiter(dsts, dtype=object, count=len(dsts))
-        times = np.asarray(times)
+    def __init__(self, times, src_codes, dst_codes):
+        self.n_codes = _code_span(src_codes, dst_codes)
         order, offsets = _csr(src_codes, self.n_codes)
-        self.out_offsets, self.out_times, self.targets = offsets.tolist(), times[order], dst_nodes[order]
+        self.out_offsets, self.out_times, self.targets = offsets.tolist(), times[order], dst_codes[order]
         order, offsets = _csr(dst_codes, self.n_codes)
-        self.in_offsets, self.in_times, self.sources = offsets.tolist(), times[order], src_nodes[order]
+        self.in_offsets, self.in_times, self.sources = offsets.tolist(), times[order], src_codes[order]
 
-    def row(self, node) -> tuple[list, list, list, list]:
-        """(out times, targets, in times, sources) of ``node``, as fresh lists."""
-        if self.code_of is None:
-            ok = isinstance(node, (int, np.integer)) and 0 <= node < self.n_codes
-            code = int(node) if ok else None
-        else:
-            code = self.code_of.get(node)
-        if code is None:
+    def row(self, code) -> tuple[list, list, list, list]:
+        """(out times, target codes, in times, source codes) of ``code``, as fresh lists."""
+        if code is None or code >= self.n_codes:
             return [], [], [], []
         a, b = self.out_offsets[code], self.out_offsets[code + 1]
         c, d = self.in_offsets[code], self.in_offsets[code + 1]
@@ -205,23 +192,54 @@ class _RowIndex:
 
 
 class TemporalGraph:
-    """Unique-edge author network replayed through a monotone time cursor."""
+    """Unique-edge author network replayed through a monotone time cursor.
+
+    Nodes are the vocabulary's int codes when ``vocab`` is given (graphs
+    built from a log); otherwise any sortable hashable keys, interned in a
+    label table.
+    """
 
     def __init__(self, vocab=None):
         self.vocab = vocab
-        self._times: np.ndarray | list = np.zeros(0, dtype=np.int64)
-        self._srcs: np.ndarray | list = np.zeros(0, dtype=np.int64)
-        self._dsts: np.ndarray | list = np.zeros(0, dtype=np.int64)
-        self._counts: np.ndarray | list = np.zeros(0, dtype=np.int64)
+        # int64 code columns in time order. numpy reads copies: a live buffer
+        # view would make the next append raise BufferError.
+        self._times, self._srcs, self._dsts, self._counts = (array("q") for _ in range(4))
+        self._labels: list | None = None if vocab is not None else []  # code -> node key
+        self._code_of: dict | None = None if vocab is not None else {}  # node key -> code
         self._activation: dict = {}
         self._act_times: list | None = None
         self._act_nodes: list | None = None
         self._index: _RowIndex | None = None
-        self._rows: dict = {}  # node -> _RowIndex.row(node), extended by append_edge
+        self._rows: dict = {}  # node -> (out times, targets, in times, sources), extended by append_edge
         self._dsu = UnionFind()
         self._cursor = -math.inf
         self._ptr = 0
-        self._pair_index: dict | None = None
+        self._pair_index: dict | None = None  # (source, target) -> edge index, made by the first append
+
+    # -- node keys and codes --------------------------------------------------
+
+    def _keys(self, codes: list) -> list:
+        labels = self._labels
+        return codes if labels is None else [labels[c] for c in codes]
+
+    def _code(self, node):
+        """The code ``node`` is stored under, or None when it has none."""
+        if self._code_of is not None:
+            return self._code_of.get(node)
+        return int(node) if isinstance(node, (int, np.integer)) and node >= 0 else None
+
+    def _intern(self, node) -> int:
+        if self._code_of is None:
+            return node
+        code = self._code_of.get(node)
+        if code is None:
+            code = self._code_of[node] = len(self._labels)
+            self._labels.append(node)
+        return code
+
+    def _endpoints(self, start: int, end: int) -> tuple[list, list]:
+        """Source and target keys of edges ``start`` to ``end``."""
+        return self._keys(self._srcs[start:end].tolist()), self._keys(self._dsts[start:end].tolist())
 
     # -- construction -----------------------------------------------------
 
@@ -234,9 +252,9 @@ class TemporalGraph:
         return len(self._times)
 
     def edges(self):
-        """Yield (source, target, first_time, interaction_count) in time order."""
-        for i in range(len(self._times)):
-            yield (self._srcs[i], self._dsts[i], int(self._times[i]), int(self._counts[i]))
+        """Iterate (source, target, first_time, interaction_count) in time order; times and counts are Python ints."""
+        srcs, dsts = self._endpoints(0, len(self._times))
+        return zip(srcs, dsts, self._times, self._counts)
 
     def register_node(self, node, time) -> None:
         """Record a node activation (e.g. a first update) outside the edge stream."""
@@ -283,24 +301,12 @@ class TemporalGraph:
         """Move the cursor to ``t``, joining the components of every edge strictly before it."""
         if t < self._cursor:
             raise MonotonicityError(f"cursor at {self._cursor} cannot move back to {t}")
-        times, ptr = self._times, self._ptr
-        if isinstance(times, np.ndarray):
-            end = int(np.searchsorted(times, t, side="left"))
-        else:
-            end = bisect_left(times, t, ptr)
+        ptr = self._ptr
+        end = bisect_left(self._times, t, ptr)
         if end > ptr:
-            self._dsu.union_pairs(_as_list(self._srcs[ptr:end]), _as_list(self._dsts[ptr:end]))
+            self._dsu.union_pairs(*self._endpoints(ptr, end))
             self._ptr = end
         self._cursor = t
-
-    def _to_mutable(self) -> None:
-        if isinstance(self._times, list):
-            return
-        self._times = self._times.tolist()
-        self._srcs = self._srcs.tolist() if isinstance(self._srcs, np.ndarray) else list(self._srcs)
-        self._dsts = self._dsts.tolist() if isinstance(self._dsts, np.ndarray) else list(self._dsts)
-        self._counts = self._counts.tolist()
-        self._pair_index = {(s, d): i for i, (s, d) in enumerate(zip(self._srcs, self._dsts))}
 
     def append_edge(self, src, dst, t) -> bool:
         """Append one interaction to the stream (used by growth simulations).
@@ -310,20 +316,22 @@ class TemporalGraph:
         keep the stream time-sorted.
         """
         if src == dst:
-            raise ValueError("self-edges are not representable")
-        self._to_mutable()
-        if self._times and t < self._times[-1]:
-            raise MonotonicityError(f"append at {t} precedes last edge time {self._times[-1]}")
+            raise InvalidEdgeError(f"self-edge {src!r}")
+        times = self._times
+        if times and t < times[-1]:
+            raise MonotonicityError(f"append at {t} precedes last edge time {times[-1]}")
         if t < self._cursor:
             raise MonotonicityError(f"append at {t} precedes cursor {self._cursor}")
+        if self._pair_index is None:
+            self._pair_index = {pair: i for i, pair in enumerate(zip(*self._endpoints(0, len(times))))}
         idx = self._pair_index.get((src, dst))
         if idx is not None:
             self._counts[idx] += 1
             return False
-        self._pair_index[(src, dst)] = len(self._times)
-        self._times.append(t)
-        self._srcs.append(src)
-        self._dsts.append(dst)
+        self._pair_index[(src, dst)] = len(times)
+        times.append(t)
+        self._srcs.append(self._intern(src))
+        self._dsts.append(self._intern(dst))
         self._counts.append(1)
         if self._index is not None:
             # Rows not yet cached are cut from the index, which holds no edge
@@ -336,10 +344,7 @@ class TemporalGraph:
             in_times.append(t)
             sources.append(src)
         for node in (src, dst):
-            known = self._activation.get(node)
-            if known is None or t < known:
-                self._activation[node] = t
-                self._act_times = None
+            self.register_node(node, t)
         return True
 
     # -- queries (state strictly before the cursor) -------------------------
@@ -348,8 +353,9 @@ class TemporalGraph:
         row = self._rows.get(node)
         if row is None:
             if self._index is None:
-                self._index = _RowIndex(self._times, self._srcs, self._dsts)
-            row = self._rows[node] = self._index.row(node)
+                self._index = _RowIndex(np.array(self._times), np.array(self._srcs), np.array(self._dsts))
+            out_times, targets, in_times, sources = self._index.row(self._code(node))
+            row = self._rows[node] = (out_times, self._keys(targets), in_times, self._keys(sources))
         return row
 
     def adjacency(self, a) -> tuple[list, list]:
@@ -386,9 +392,6 @@ class TemporalGraph:
         targets, sources = self.adjacency(b)
         return not (und.isdisjoint(targets) and und.isdisjoint(sources))
 
-    def component_state(self) -> ComponentState:
-        return ComponentState(self._dsu, self.activated_count())
-
     def largest_wcc_share(self) -> float:
         """Share of activated nodes inside the largest weak component."""
         activated = self.activated_count()
@@ -398,8 +401,8 @@ class TemporalGraph:
 
     def scc_snapshot(self) -> list[int]:
         """Strongly-connected component sizes (descending) before the cursor."""
-        src_codes, dst_codes, n_codes, _ = _edge_codes(self._srcs[: self._ptr], self._dsts[: self._ptr])
-        sizes = _tarjan_scc_sizes(src_codes, dst_codes, n_codes)
+        src_codes, dst_codes = np.array(self._srcs[: self._ptr]), np.array(self._dsts[: self._ptr])
+        sizes = _tarjan_scc_sizes(src_codes, dst_codes, _code_span(src_codes, dst_codes))
         # Every endpoint lies in exactly one SCC; the other activated nodes are isolates.
         sizes.extend([1] * (self.activated_count() - sum(sizes)))
         sizes.sort(reverse=True)
@@ -408,9 +411,7 @@ class TemporalGraph:
     # -- export -------------------------------------------------------------
 
     def _label(self, node):
-        if self.vocab is not None and isinstance(node, (int, np.integer)):
-            return self.vocab.authors.id(int(node))
-        return node
+        return node if self.vocab is None else self.vocab.authors.id(node)
 
     def to_edge_csv(self, path, header_comment: str | None = None) -> None:
         """Write the full edge list as source,target,first_time,interaction_count."""
@@ -426,89 +427,80 @@ class TemporalGraph:
 def build(interactions, extra_nodes=None) -> TemporalGraph:
     """Build a temporal graph from a directed interaction stream.
 
-    The edge set keeps the first occurrence per ordered (source, target) pair;
-    later repeats only increment the edge's interaction count. ``extra_nodes``
-    maps node -> activation time for nodes that should count as present (e.g.
-    authors' first update times) even before or without any interaction.
+    ``interactions`` is a DirectedInteractionLog (nodes are its vocabulary
+    codes) or an iterable of DirectedInteraction or (source, target, time)
+    records (nodes are their labels). The edge set keeps the first occurrence
+    per ordered (source, target) pair; later repeats only increment the
+    edge's interaction count. Equal-time edges are ordered by (source,
+    target): by vocabulary code for a log, by the labels' order for records.
+    ``extra_nodes`` maps node -> activation time for nodes that should count
+    as present (e.g. authors' first update times) even before or without any
+    interaction. A self-edge raises InvalidEdgeError.
     """
-    graph = TemporalGraph(vocab=getattr(interactions, "vocab", None))
     if isinstance(interactions, DirectedInteractionLog):
-        _build_from_log(graph, interactions)
+        graph = TemporalGraph(vocab=interactions.vocab)
+        src, dst, times = interactions.src, interactions.dst, interactions.timestamp
     else:
-        _build_from_records(graph, interactions)
+        graph = TemporalGraph()
+        src, dst, times = _intern_records(graph, interactions)
+    _first_edges(graph, *(np.asarray(column, dtype=np.int64) for column in (src, dst, times)))
     if extra_nodes:
         for node, t in extra_nodes.items():
             graph.register_node(node, t)
     return graph
 
 
-def _build_from_log(graph: TemporalGraph, log: DirectedInteractionLog) -> None:
-    if len(log) == 0:
+def _intern_records(graph: TemporalGraph, records):
+    """Source codes, target codes and times of ``records``, labels interned in sorted order."""
+    srcs, dsts, times = [], [], []
+    for rec in records:
+        if isinstance(rec, DirectedInteraction):
+            rec = (rec.source_author, rec.target_author, rec.timestamp)
+        srcs.append(rec[0])
+        dsts.append(rec[1])
+        times.append(rec[2])
+    time_column = np.array(times)
+    if times and time_column.dtype != np.int64:
+        # Floats would be truncated, and ints beyond int64 wrap or become objects.
+        raise ValueError(f"record times must be int64 integers, got {time_column.dtype}")
+    graph._labels = sorted(set(srcs).union(dsts))
+    code_of = graph._code_of = {label: code for code, label in enumerate(graph._labels)}
+    return (
+        np.array([code_of[x] for x in srcs], dtype=np.int64),
+        np.array([code_of[x] for x in dsts], dtype=np.int64),
+        time_column,
+    )
+
+
+def _first_edges(graph: TemporalGraph, src, dst, times) -> None:
+    """Store the first edge per ordered (src, dst) code pair, with its count, and activate endpoints.
+
+    The one first-edge reduction: every graph is built here, and
+    ``extract_initiations`` reads its edges.
+    """
+    loops = np.flatnonzero(src == dst)
+    if len(loops):
+        (node,) = graph._keys([int(src[loops[0]])])
+        raise InvalidEdgeError(f"self-edge {node!r}")
+    if len(src) == 0:
         return
-    span = np.int64(max(len(log.vocab.authors), 1))
-    key = log.src.astype(np.int64) * span + log.dst
-    order = np.lexsort((log.timestamp, key))
+    span = _code_span(src, dst)
+    key = src * span + dst
+    order = np.lexsort((times, key))
     k_sorted = key[order]
     first = np.ones(len(k_sorted), dtype=bool)
     first[1:] = k_sorted[1:] != k_sorted[:-1]
-    starts = np.flatnonzero(first)
-    counts = np.diff(np.append(starts, len(k_sorted)))
-    pair = k_sorted[first]
-    times = log.timestamp[order][first]
-    srcs = (pair // span).astype(np.int64)
-    dsts = (pair % span).astype(np.int64)
-    order2 = np.lexsort((dsts, srcs, times))
-    graph._times = times[order2]
-    graph._srcs = srcs[order2]
-    graph._dsts = dsts[order2]
-    graph._counts = counts[order2]
-    _register_endpoint_activations(graph)
-
-
-def _build_from_records(graph: TemporalGraph, records) -> None:
-    first: dict = {}
-    counts: dict = {}
-    for rec in records:
-        if isinstance(rec, DirectedInteraction):
-            src, dst, t = rec.source_author, rec.target_author, rec.timestamp
-        else:
-            src, dst, t = rec[0], rec[1], rec[2]
-        if src == dst:
-            raise ValueError(f"self-edge {src!r}")
-        pair = (src, dst)
-        counts[pair] = counts.get(pair, 0) + 1
-        known = first.get(pair)
-        if known is None or t < known:
-            first[pair] = t
-    # Ties at equal timestamps break on the natural ordering of the node keys.
-    ordered = sorted(first.items(), key=lambda kv: (kv[1], kv[0][0], kv[0][1]))
-    graph._times = [t for _, t in ordered]
-    graph._srcs = [pair[0] for pair, _ in ordered]
-    graph._dsts = [pair[1] for pair, _ in ordered]
-    graph._counts = [counts[pair] for pair, _ in ordered]
-    graph._pair_index = {pair: i for i, (pair, _) in enumerate(ordered)}
-    _register_endpoint_activations(graph)
-
-
-def _register_endpoint_activations(graph: TemporalGraph) -> None:
-    if isinstance(graph._times, np.ndarray) and len(graph._times):
-        nodes = np.concatenate((graph._srcs, graph._dsts))
-        times = np.concatenate((graph._times, graph._times))
-        order = np.argsort(nodes, kind="stable")
-        ns, ts = nodes[order], times[order]
-        starts = np.ones(len(ns), dtype=bool)
-        starts[1:] = ns[1:] != ns[:-1]
-        starts = np.flatnonzero(starts)
-        mins = np.minimum.reduceat(ts, starts)
-        graph._activation = {int(n): int(t) for n, t in zip(ns[starts], mins)}
-    else:
-        activation = graph._activation
-        for seq in (zip(graph._srcs, graph._times), zip(graph._dsts, graph._times)):
-            for node, t in seq:
-                known = activation.get(node)
-                if known is None or t < known:
-                    activation[node] = t
-    graph._act_times = None
+    counts = np.diff(np.append(np.flatnonzero(first), len(k_sorted)))
+    pair, first_times = k_sorted[first], times[order][first]
+    srcs, dsts = pair // span, pair % span
+    by_time = np.lexsort((dsts, srcs, first_times))
+    columns = (first_times[by_time], srcs[by_time], dsts[by_time], counts[by_time])
+    for stored, column in zip((graph._times, graph._srcs, graph._dsts, graph._counts), columns):
+        stored.frombytes(column.astype(np.int64, copy=False).tobytes())
+    # Edges are time-sorted, so a node's first appearance is its activation.
+    first_times, srcs, dsts = columns[:3]
+    nodes, at = np.unique(np.column_stack((srcs, dsts)).ravel(), return_index=True)
+    graph._activation = dict(zip(graph._keys(nodes.tolist()), first_times[at // 2].tolist()))
 
 
 def _tarjan_scc_sizes(src_codes, dst_codes, n: int) -> list[int]:
@@ -578,7 +570,7 @@ def largest_wcc_share_series(graph: TemporalGraph):
     """
     if graph._ptr != 0:
         raise ValueError("series requires an un-replayed graph")
-    times = np.asarray(graph._times)
+    times = np.array(graph._times)
     if len(times) == 0:
         return
     starts = np.flatnonzero(np.concatenate(([True], times[1:] != times[:-1])))
@@ -587,7 +579,7 @@ def largest_wcc_share_series(graph: TemporalGraph):
     act_times, _ = graph._activation_order()
     # Activated at or before t, i.e. strictly before the cursor t + 1 (which could wrap in int64).
     activated = np.searchsorted(np.asarray(act_times), group_times, side="right").tolist()
-    srcs, dsts, dsu = _as_list(graph._srcs), _as_list(graph._dsts), graph._dsu
+    (srcs, dsts), dsu = graph._endpoints(0, len(times)), graph._dsu
     for t, start, end, count in zip(group_times.tolist(), starts.tolist(), ends, activated):
         dsu.union_pairs(srcs[start:end], dsts[start:end])
         graph._ptr, graph._cursor = end, t + 1

@@ -11,21 +11,17 @@ classified by the weak-component positions of its endpoints at that moment:
 
 A component requires at least two connected authors; size-1 nodes are
 isolates. Equal-timestamp edges are processed in (source, target) order, so
-classification within a tie is deterministic.
+classification within a tie is deterministic. Extraction is the graph's own
+first-edge reduction: ``extract_initiations`` reads the edges of ``build``.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
-from .events import DirectedInteraction, DirectedInteractionLog
-from .graph import ComponentState, TemporalGraph, UnionFind
-
-
-class InvalidEdgeError(ValueError):
-    """An edge with identical endpoints cannot be classified."""
+from .graph import ComponentState, InvalidEdgeError, TemporalGraph, UnionFind, build
 
 
 class InitiationType(str, Enum):
@@ -58,31 +54,12 @@ def extract_initiations(interactions) -> list[Initiation]:
     """Reduce an interaction stream to its unique-edge stream, in time order.
 
     Accepts a DirectedInteractionLog, an iterable of DirectedInteraction or
-    (source, target, time) tuples, or an already-built TemporalGraph. Ties at
-    equal timestamps are ordered by (source, target). Types are left unset.
+    (source, target, time) tuples, or an already-built TemporalGraph; any
+    input but a graph goes through ``build``. Ties at equal timestamps are
+    ordered by (source, target). Types are left unset.
     """
-    if isinstance(interactions, TemporalGraph):
-        edges = interactions.edges()
-    else:
-        first: dict = {}
-        if isinstance(interactions, DirectedInteractionLog):
-            rows = zip(interactions.src.tolist(), interactions.dst.tolist(), interactions.timestamp.tolist())
-        else:
-            rows = (
-                (r.source_author, r.target_author, r.timestamp)
-                if isinstance(r, DirectedInteraction)
-                else (r[0], r[1], r[2])
-                for r in interactions
-            )
-        for src, dst, t in rows:
-            if src == dst:
-                raise InvalidEdgeError(f"self-edge {src!r}")
-            pair = (src, dst)
-            known = first.get(pair)
-            if known is None or t < known:
-                first[pair] = t
-        edges = ((pair[0], pair[1], t, 1) for pair, t in sorted(first.items(), key=lambda kv: (kv[1], kv[0])))
-    return [Initiation(initiator=s, receiver=d, time=int(t)) for s, d, t, _ in edges]
+    graph = interactions if isinstance(interactions, TemporalGraph) else build(interactions)
+    return [Initiation(initiator=s, receiver=d, time=t) for s, d, t, _ in graph.edges()]
 
 
 def classify_initiation(state: ComponentState, initiator, receiver) -> tuple[InitiationType, bool]:
@@ -118,14 +95,8 @@ def classify_initiations(initiations: list[Initiation]) -> list[Initiation]:
     for ini in ordered:
         itype, was_isolate = classify_initiation(state, ini.initiator, ini.receiver)
         reverse = first_time.get((ini.receiver, ini.initiator))
-        out.append(
-            replace(
-                ini,
-                itype=itype,
-                is_reciprocal=reverse is not None and reverse < ini.time,
-                initiator_was_isolate=was_isolate,
-            )
-        )
+        is_reciprocal = reverse is not None and reverse < ini.time
+        out.append(Initiation(ini.initiator, ini.receiver, ini.time, itype, is_reciprocal, was_isolate))
         dsu.union(ini.initiator, ini.receiver)
         first_time[(ini.initiator, ini.receiver)] = ini.time
     return out

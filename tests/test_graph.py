@@ -5,8 +5,9 @@ import pytest
 
 from conftest import bfs_components, component_of, random_edge_stream
 
-from netchoice.events import DirectedInteraction, DirectedInteractionLog
+from netchoice.events import DirectedInteraction, DirectedInteractionLog, LogVocab
 from netchoice.graph import (
+    InvalidEdgeError,
     MonotonicityError,
     TemporalGraph,
     UndefinedShareError,
@@ -49,6 +50,27 @@ class TestBuild:
     def test_self_edge_rejected(self):
         with pytest.raises(ValueError):
             build([("a", "a", 1)])
+
+    @pytest.mark.parametrize("bad", [1.5, 2**63, 2**70])
+    def test_record_time_outside_int64_rejected(self, bad):
+        with pytest.raises(ValueError):
+            build([("a", "b", 1), ("a", "c", bad)])
+
+    def test_self_edge_in_log_rejected(self):
+        """A log made with its constructor skips the record checks; build still rejects a -> a."""
+        vocab = LogVocab()
+        a, b = vocab.authors.code("a"), vocab.authors.code("b")
+        site = vocab.sites.code("s")
+        log = DirectedInteractionLog(
+            vocab,
+            np.array([a, a], dtype=np.int32),
+            np.array([a, b], dtype=np.int32),
+            np.array([1, 2], dtype=np.int64),
+            np.zeros(2, dtype=np.int8),
+            np.array([site, site], dtype=np.int32),
+        )
+        with pytest.raises(InvalidEdgeError):
+            build(log)
 
 
 class TestAdvance:

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import bfs_components, component_of, random_edge_stream
 
+from netchoice.events import DirectedInteraction, DirectedInteractionLog, unique_pair_count
 from netchoice.graph import ComponentState, UnionFind, build
 from netchoice.initiations import (
     Initiation,
@@ -70,6 +71,28 @@ class TestExtract:
         assert [(i.initiator, i.receiver, i.time) for i in direct] == [
             (i.initiator, i.receiver, i.time) for i in via_graph
         ]
+
+
+    def test_from_log_with_ties(self):
+        """A log's ties break on vocabulary codes (first appearance), not on the labels."""
+        rng = np.random.default_rng(2)
+        labels = [f"u{i:02d}" for i in rng.permutation(30)]
+        stream = [(labels[s], labels[d], t) for s, d, t in random_edge_stream(rng, n_nodes=30, n_edges=600, t_max=8)]
+        records = [DirectedInteraction(s, d, t, "guestbook", "x") for s, d, t in stream]
+        log = DirectedInteractionLog.from_records(records)
+        first = {}
+        for s, d, t in zip(log.src.tolist(), log.dst.tolist(), log.timestamp.tolist()):
+            first[(s, d)] = min(first.get((s, d), t), t)
+        expected = sorted((t, s, d) for (s, d), t in first.items())
+        out = extract_initiations(log)
+        assert [(i.time, i.initiator, i.receiver) for i in out] == expected
+        assert out == extract_initiations(build(log))
+        assert all(type(v) is int for i in out for v in (i.initiator, i.receiver, i.time))
+        assert unique_pair_count(log) == build(log).n_edges
+        # The codes order the ties differently from the labels, so the check above has teeth.
+        name = log.vocab.authors.id
+        as_labels = [(t, name(s), name(d)) for t, s, d in expected]
+        assert as_labels != sorted(as_labels)
 
 
 class TestClassify:
