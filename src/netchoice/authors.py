@@ -352,10 +352,6 @@ class AuthorDirectory:
         sa, sb = self._states.get(a), self._states.get(b)
         return int(sa is not None and sa == sb)
 
-    def shared_role(self, a, b) -> int:
-        ra, rb = self._roles.get(a), self._roles.get(b)
-        return int(ra is not None and ra == rb)
-
     def record(self, author) -> AuthorRecord:
         return AuthorRecord(
             author_id=author,

@@ -416,7 +416,7 @@ def write_choice_sets(path, instances, meta: dict | None = None) -> None:
                         "time": inst.time,
                         "alternatives": [_plain(a) for a in inst.alternatives],
                         "chosen": inst.chosen,
-                        "X": [[float(v) for v in row] for row in inst.X],
+                        "X": inst.X.tolist(),
                         "feature_names": list(inst.feature_names),
                     },
                     sort_keys=True,

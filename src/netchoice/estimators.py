@@ -545,10 +545,6 @@ def ols_fit(X, y, feature_names=None) -> FitResult:
     )
 
 
-def ols_predict(fit: FitResult, X) -> np.ndarray:
-    return np.asarray(X, dtype=np.float64) @ fit.coefficients
-
-
 def design_matrix(columns, terms, add_intercept: bool = True):
     """Assemble a design matrix from named columns and product terms.
 

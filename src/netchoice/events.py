@@ -305,7 +305,7 @@ class UpdateLog(Sequence):
         return log
 
     def _check_unique_update_ids(self) -> None:
-        if len(self.update) != len(np.unique(self.update)):
+        if len(self.update) != len(_sorted_unique(self.update)):
             codes, counts = np.unique(self.update, return_counts=True)
             dupes = [self.vocab.updates.id(int(c)) for c in codes[counts > 1][:10]]
             raise SchemaError(f"duplicate update ids: {', '.join(dupes)}", field="update_id")
@@ -581,6 +581,15 @@ def resolve_amp_timestamps(events: EventLog, updates: UpdateLog) -> EventLog:
     return EventLog(events.vocab, events.actor, events.site, events.kind, timestamp, events.update)
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` for a 1-D array, by sorting: numpy 2's plain
+    ``np.unique`` hashes integers, which is many times slower than a sort."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
 def filter_self_interactions(events: EventLog, updates: UpdateLog) -> tuple[EventLog, int]:
     """Drop events whose actor has published any update on the event's site.
 
@@ -592,13 +601,36 @@ def filter_self_interactions(events: EventLog, updates: UpdateLog) -> tuple[Even
     if len(events) == 0 or len(updates) == 0:
         return events, 0
     span = np.int64(len(events.vocab.sites))
-    own_keys = np.unique(updates.author.astype(np.int64) * span + updates.site)
+    own_keys = _sorted_unique(updates.author.astype(np.int64) * span + updates.site)
     event_keys = events.actor.astype(np.int64) * span + events.site
     self_mask = np.isin(event_keys, own_keys)
     removed = int(self_mask.sum())
     if removed == 0:
         return events, 0
     return events._select(~self_mask), removed
+
+
+def _prior_counts(evt_site, evt_time, site_of, first_t):
+    """Per event, the count of first update times on its site strictly before
+    it, by a merge pass over (site, time); temporaries are freed on return."""
+    n_events = len(evt_site)
+    comb_site = np.concatenate((evt_site, site_of))
+    comb_time = np.concatenate((evt_time, first_t))
+    comb_is_upd = np.concatenate((np.zeros(n_events, dtype=np.int8), np.ones(len(site_of), dtype=np.int8)))
+    order = np.lexsort((comb_is_upd, comb_time, comb_site))
+    is_upd_s = comb_is_upd[order]
+    site_s = comb_site[order]
+    cum_upd = np.cumsum(is_upd_s, dtype=np.int64)
+    new_site = np.ones(len(site_s), dtype=bool)
+    new_site[1:] = site_s[1:] != site_s[:-1]
+    group_id = np.cumsum(new_site) - 1
+    starts = np.flatnonzero(new_site)
+    base = np.where(starts > 0, cum_upd[starts - 1], 0)
+    before_here = cum_upd - is_upd_s - base[group_id]
+    prior_count = np.zeros(n_events, dtype=np.int64)
+    evt_rows = order < n_events
+    prior_count[order[evt_rows]] = before_here[evt_rows]
+    return prior_count
 
 
 def project_to_author_edges(events: EventLog, updates: UpdateLog) -> DirectedInteractionLog:
@@ -609,7 +641,7 @@ def project_to_author_edges(events: EventLog, updates: UpdateLog) -> DirectedInt
     patient-labeled update on ``s`` at any time (patients are often addressed
     before they first publish). Targets are deduplicated within one event, and
     self-edges are never emitted; duplicates across events are preserved. The
-    output is sorted by (timestamp, source, target).
+    output is sorted by (timestamp, source, target), ties in event order.
     """
     _require_shared_vocab(events, updates)
     if (events.timestamp < 0).any():
@@ -617,9 +649,6 @@ def project_to_author_edges(events: EventLog, updates: UpdateLog) -> DirectedInt
     n_events = len(events)
     vocab = events.vocab
     n_authors = np.int64(max(len(vocab.authors), 1))
-    if n_events == 0 or len(updates) == 0:
-        empty32 = np.zeros(0, dtype=np.int32)
-        return DirectedInteractionLog(vocab, empty32, empty32.copy(), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int8), empty32.copy())
 
     # First update time per (site, author).
     sa_key = updates.site.astype(np.int64) * n_authors + updates.author
@@ -630,68 +659,59 @@ def project_to_author_edges(events: EventLog, updates: UpdateLog) -> DirectedInt
     first[1:] = k_sorted[1:] != k_sorted[:-1]
     sa_key = k_sorted[first]
     sa_first_t = t_sorted[first]
-    site_of = (sa_key // n_authors).astype(np.int64)
-    author_of = (sa_key % n_authors).astype(np.int32)
     # Per-site blocks ordered by first update time.
-    order2 = np.lexsort((sa_first_t, site_of))
-    site_of = site_of[order2]
-    author_of = author_of[order2]
+    order2 = np.lexsort((sa_first_t, sa_key // n_authors))
+    site_of = sa_key[order2] // n_authors
+    author_of = (sa_key[order2] % n_authors).astype(np.int32)
     sa_first_t = sa_first_t[order2]
 
-    evt_site = events.site.astype(np.int64)
-    block_start = np.searchsorted(site_of, evt_site, side="left")
-
-    # Count of authors with a first update strictly before each event: merge
-    # pass over (site, time) with events ordered before same-time updates.
-    n_upd = len(site_of)
-    comb_site = np.concatenate((evt_site, site_of))
-    comb_time = np.concatenate((events.timestamp, sa_first_t))
-    comb_is_upd = np.concatenate((np.zeros(n_events, dtype=np.int8), np.ones(n_upd, dtype=np.int8)))
-    order3 = np.lexsort((comb_is_upd, comb_time, comb_site))
-    is_upd_s = comb_is_upd[order3]
-    site_s = comb_site[order3]
-    cum_upd = np.cumsum(is_upd_s, dtype=np.int64)
-    new_site = np.ones(len(site_s), dtype=bool)
-    new_site[1:] = site_s[1:] != site_s[:-1]
-    group_id = np.cumsum(new_site) - 1
-    starts = np.flatnonzero(new_site)
-    base = np.where(starts > 0, cum_upd[starts - 1], 0)
-    before_here = cum_upd - is_upd_s - base[group_id]
-    prior_count = np.zeros(n_events, dtype=np.int64)
-    evt_rows = order3 < n_events
-    prior_count[order3[evt_rows]] = before_here[evt_rows]
+    # Events ranked by (timestamp, actor), ties in event order; every
+    # per-event array below is indexed by rank.
+    by_rank = np.lexsort((events.actor, events.timestamp))
+    actor = events.actor[by_rank]
+    evt_time = events.timestamp[by_rank]
+    evt_site = events.site[by_rank].astype(np.int64)
+    # Site blocks are found through per-site bounds gathered per event, not a
+    # binary search per event over unsorted sites.
+    site_codes = np.arange(len(vocab.sites) + 1, dtype=np.int64)
+    block_start = np.searchsorted(site_of, site_codes)[evt_site]
+    prior_count = _prior_counts(evt_site, evt_time, site_of, sa_first_t)
 
     # Patient-labeled authors per site (any time), unique (site, author).
     p_rows = updates.role == ROLE_P
-    p_keys = np.unique(updates.site[p_rows].astype(np.int64) * n_authors + updates.author[p_rows])
+    p_keys = _sorted_unique(updates.site[p_rows].astype(np.int64) * n_authors + updates.author[p_rows])
     p_site = (p_keys // n_authors).astype(np.int64)
     p_author = (p_keys % n_authors).astype(np.int32)
-    p_start = np.searchsorted(p_site, evt_site, side="left")
-    p_count = np.searchsorted(p_site, evt_site, side="right") - p_start
+    p_bounds = np.searchsorted(p_site, site_codes)
+    p_start = p_bounds[evt_site]
+    p_count = p_bounds[evt_site + 1] - p_start
 
     def expand(counts, source_start, source_authors):
         total = int(counts.sum())
-        eidx = np.repeat(np.arange(n_events, dtype=np.int64), counts)
+        ranks = np.repeat(np.arange(n_events, dtype=np.int64), counts)
         csum = np.cumsum(counts) - counts
         offsets = np.arange(total, dtype=np.int64) - np.repeat(csum, counts)
         targets = source_authors[np.repeat(source_start, counts) + offsets]
-        return eidx, targets
+        return ranks, targets
 
-    eidx1, tgt1 = expand(prior_count, block_start, author_of)
-    eidx2, tgt2 = expand(p_count, p_start, p_author)
-    eidx = np.concatenate((eidx1, eidx2))
+    rank1, tgt1 = expand(prior_count, block_start, author_of)
+    rank2, tgt2 = expand(p_count, p_start, p_author)
+    rank = np.concatenate((rank1, rank2))
     tgt = np.concatenate((tgt1, tgt2)).astype(np.int64)
-    keep = tgt != events.actor[eidx]
-    pair_key = np.unique(eidx[keep] * n_authors + tgt[keep])
-    eidx = (pair_key // n_authors).astype(np.int64)
-    dst = (pair_key % n_authors).astype(np.int32)
-
-    src = events.actor[eidx]
-    ts = events.timestamp[eidx]
-    kind = events.kind[eidx]
-    site = events.site[eidx]
-    order4 = np.lexsort((dst, src, ts))
-    return DirectedInteractionLog(vocab, src[order4], dst[order4], ts[order4], kind[order4], site[order4])
+    keep = tgt != actor[rank]
+    # Deduped rows come out in (rank, target) order. Only events sharing a
+    # (timestamp, actor) group can interleave: order within each group by
+    # target, stably, so ties keep event order.
+    pair_key = _sorted_unique(rank[keep] * n_authors + tgt[keep])
+    rank = pair_key // n_authors
+    dst = pair_key % n_authors
+    new_group = np.ones(n_events, dtype=bool)
+    new_group[1:] = (evt_time[1:] != evt_time[:-1]) | (actor[1:] != actor[:-1])
+    group = np.cumsum(new_group) - 1
+    order = np.argsort(group[rank] * n_authors + dst, kind="stable")
+    rank = rank[order]
+    row = by_rank[rank]
+    return DirectedInteractionLog(vocab, actor[rank], dst[order].astype(np.int32), evt_time[rank], events.kind[row], events.site[row])
 
 
 def unique_pair_count(interactions) -> int:
@@ -700,7 +720,7 @@ def unique_pair_count(interactions) -> int:
         if len(interactions) == 0:
             return 0
         span = np.int64(max(int(interactions.dst.max()) + 1, 1))
-        return int(np.unique(interactions.src.astype(np.int64) * span + interactions.dst).size)
+        return int(_sorted_unique(interactions.src.astype(np.int64) * span + interactions.dst).size)
     pairs = set()
     for rec in interactions:
         if isinstance(rec, DirectedInteraction):

@@ -48,10 +48,6 @@ class ConfusionJoint:
             raise ValueError("confusion entries must sum to 1")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def source_priors(self) -> np.ndarray:
-        return self.matrix.sum(axis=0)
-
 
 @dataclass(frozen=True)
 class ShiftEstimate:

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import interaction_multiset, make_logs, project_oracle, random_event_fixture
 
@@ -15,6 +16,7 @@ from netchoice.events import (
     UnresolvedAmpError,
     UpdateEvent,
     UpdateLog,
+    _sorted_unique,
     filter_self_interactions,
     load_events,
     load_logs,
@@ -338,6 +340,84 @@ class TestProjection:
                 and (u.timestamp < rec.timestamp or u.role_label == "P")
             ]
             assert qualifying, rec
+
+
+@given(st.lists(st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1)), max_size=60))
+@example([])
+@example([7])
+@example([5, 5, 5, 5])
+@example([-(2**63), 2**63 - 1, -1, 0, -1])
+def test_sorted_unique_matches_np_unique(values):
+    keys = np.array(values, dtype=np.int64)
+    got, want = _sorted_unique(keys), np.unique(keys)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def projection_rows_reference(event_log, update_log):
+    """Projection rows as code tuples, in the documented output order.
+
+    Each event's deduplicated targets, ordered by (timestamp, source code,
+    target code, event row); rows equal on all four are impossible.
+    """
+    updates = [
+        (int(update_log.author[j]), int(update_log.site[j]), int(update_log.timestamp[j]), update_log[j].role_label)
+        for j in range(len(update_log))
+    ]
+    rows = []
+    for i in range(len(event_log)):
+        actor, site, t = int(event_log.actor[i]), int(event_log.site[i]), int(event_log.timestamp[i])
+        targets = {a for a, s, ut, role in updates if s == site and (ut < t or role == "P")} - {actor}
+        rows.extend((t, actor, target, i, int(event_log.kind[i]), site) for target in targets)
+    rows.sort(key=lambda row: row[:4])
+    return rows
+
+
+class TestProjectionRowOrder:
+    """Every output column in order, not only the multiset of rows."""
+
+    def assert_rows(self, event_log, update_log):
+        out = project_to_author_edges(event_log, update_log)
+        rows = projection_rows_reference(event_log, update_log)
+        assert [c.dtype for c in (out.src, out.dst, out.timestamp, out.kind, out.site)] == [np.int32, np.int32, np.int64, np.int8, np.int32]
+        assert out.timestamp.tolist() == [r[0] for r in rows]
+        assert out.src.tolist() == [r[1] for r in rows]
+        assert out.dst.tolist() == [r[2] for r in rows]
+        assert out.kind.tolist() == [r[4] for r in rows]
+        assert out.site.tolist() == [r[5] for r in rows]
+
+    def test_tied_events_on_several_sites(self):
+        # Author codes follow first appearance (z, y, x, w, m, k), so code
+        # order and label order disagree. Four events of m at t=10 hit three
+        # sites with two kinds; rows 1 and 4 share both targets, rows 0 and 1
+        # share x, and k's event at t=10 falls between m's.
+        event_log, update_log = make_logs(
+            [
+                InteractionEvent("m", "s2", "comment", 10, "u2"),
+                InteractionEvent("m", "s1", "guestbook", 10),
+                InteractionEvent("k", "s1", "guestbook", 10),
+                InteractionEvent("m", "s3", "guestbook", 10),
+                InteractionEvent("m", "s1", "comment", 10, "u1"),
+                InteractionEvent("x", "s1", "guestbook", 5),
+                InteractionEvent("m", "s2", "guestbook", 3),
+            ],
+            [
+                UpdateEvent("z", "s1", "u1", 1, "CG"),
+                UpdateEvent("y", "s2", "u2", 2, "P"),
+                UpdateEvent("x", "s1", "u3", 3, "CG"),
+                UpdateEvent("x", "s2", "u4", 4, "CG"),
+                UpdateEvent("y", "s3", "u5", 50, "P"),
+                UpdateEvent("w", "s3", "u6", 60, "P"),
+            ],
+        )
+        self.assert_rows(event_log, update_log)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_log_with_many_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        events, updates = random_event_fixture(rng, n_events=600, n_authors=9, n_sites=4, t_max=12)
+        event_log, update_log = make_logs(events, updates)
+        self.assert_rows(event_log, update_log)
 
 
 class TestUniquePairCount:

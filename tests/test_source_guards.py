@@ -1,0 +1,35 @@
+"""Guards over the package source itself."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "netchoice"
+
+
+def plain_np_unique_calls(path):
+    """``file:line`` of every ``np.unique(...)`` call without a ``return_*`` argument."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "unique"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+            and not any(kw.arg and kw.arg.startswith("return_") for kw in node.keywords)
+        ):
+            yield f"{path.name}:{node.lineno}"
+
+
+def test_scanner_flags_only_plain_calls(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("a = np.unique(x)\nb, i = np.unique(x, return_index=True)\nc = numpy.unique(\n    x,\n)\n")
+    assert list(plain_np_unique_calls(path)) == ["mod.py:1", "mod.py:3"]
+
+
+def test_no_plain_np_unique_in_package():
+    # With numpy 2 a plain np.unique on integers takes a hash path many times
+    # slower than sorting; packed-key dedupes use events._sorted_unique.
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    found = [hit for path in paths for hit in plain_np_unique_calls(path)]
+    assert not found, f"plain np.unique calls (use events._sorted_unique): {', '.join(found)}"
