@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import ROLE_LABELS, ROLE_P, UpdateEvent, UpdateLog
+from .events import ROLE_P, SchemaError, UpdateLog, _parse_int, _role_code
 
 SECONDS_PER_DAY = 86_400.0
 DAYS_PER_MONTH = 30.44
@@ -143,12 +143,12 @@ def load_geo_posts(path) -> list[GeoPost]:
         reader = csv.DictReader(fh)
         expected = {"author_id", "timestamp", "state"}
         if reader.fieldnames is None or set(reader.fieldnames) != expected:
-            raise ValueError(f"expected columns {sorted(expected)}, got {reader.fieldnames}")
+            raise SchemaError(f"expected columns {sorted(expected)}, got {reader.fieldnames}", line=1)
         for row in reader:
             posts.append(
                 GeoPost(
                     author_id=row["author_id"],
-                    timestamp=int(row["timestamp"]),
+                    timestamp=_parse_int(row["timestamp"], reader.line_num, "timestamp"),
                     state=row["state"] or None,
                 )
             )
@@ -211,7 +211,7 @@ class AuthorDirectory:
                 updates.role.tolist(),
             )
         else:
-            rows = ((u.author_id, u.site_id, u.timestamp, _role_code(u)) for u in updates)
+            rows = ((u.author_id, u.site_id, u.timestamp, _role_code(u.role_label, i)) for i, u in enumerate(updates))
 
         times: dict = {}
         for author, site, t, role in rows:
@@ -424,13 +424,6 @@ class AuthorDirectory:
                 )
 
 
-def _role_code(update: UpdateEvent) -> int:
-    try:
-        return ROLE_LABELS.index(update.role_label)
-    except ValueError:
-        raise ValueError(f"unknown role_label {update.role_label!r}") from None
-
-
 def load_site_conditions(path) -> tuple[dict, dict]:
     """Read site_id,health_condition[,created] rows.
 
@@ -441,12 +434,12 @@ def load_site_conditions(path) -> tuple[dict, dict]:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "site_id" not in reader.fieldnames:
-            raise ValueError("expected a site_id column")
+            raise SchemaError("expected a site_id column", line=1)
         for row in reader:
             site = row["site_id"]
             conditions[site] = row.get("health_condition") or None
             if row.get("created"):
-                created[site] = int(row["created"])
+                created[site] = _parse_int(row["created"], reader.line_num, "created")
     return conditions, created
 
 

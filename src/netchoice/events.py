@@ -18,6 +18,8 @@ import json
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice
+from operator import attrgetter
 
 import numpy as np
 
@@ -139,42 +141,6 @@ class LogVocab:
         self.updates = Vocab()
 
 
-def _check_timestamp(timestamp, line, minimum=0) -> None:
-    """Reject a record's timestamp below ``minimum`` or past what int64 storage holds."""
-    if timestamp < minimum:
-        message = f"timestamp below {minimum}: {timestamp!r}" if minimum else "negative timestamp"
-        raise SchemaError(message, line=line, field="timestamp")
-    if timestamp > _INT64_MAX:
-        raise SchemaError(f"timestamp exceeds {_INT64_MAX}: {timestamp!r}", line=line, field="timestamp")
-
-
-def _validate_interaction(ev: InteractionEvent, line=None) -> None:
-    if ev.kind not in KIND_CODES:
-        raise SchemaError(f"unknown kind '{ev.kind}'", line=line, field="kind")
-    if not ev.actor_id:
-        raise SchemaError("missing actor id", line=line, field="actor_id")
-    if not ev.site_id:
-        raise SchemaError("missing site id", line=line, field="site_id")
-    if ev.timestamp is None:
-        if ev.kind != "amp":
-            raise SchemaError("timestamp required for non-amp events", line=line, field="timestamp")
-    else:
-        _check_timestamp(ev.timestamp, line)
-    if ev.update_id is None and ev.kind in ("amp", "comment"):
-        raise SchemaError(f"update_id required for kind '{ev.kind}'", line=line, field="update_id")
-
-
-def _validate_update(ev: UpdateEvent, line=None) -> None:
-    for field in ("author_id", "site_id", "update_id"):
-        if not getattr(ev, field):
-            raise SchemaError(f"missing {field}", line=line, field=field)
-    if ev.timestamp is None:
-        raise SchemaError("missing timestamp", line=line, field="timestamp")
-    _check_timestamp(ev.timestamp, line)
-    if ev.role_label not in ROLE_CODES:
-        raise SchemaError(f"unknown role_label '{ev.role_label}'", line=line, field="role_label")
-
-
 def _dedupe_mask(cols: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
     """Keep-mask over rows, dropping exact duplicates (first occurrence wins)."""
     n = len(cols[0])
@@ -212,26 +178,9 @@ class EventLog(Sequence):
 
     @classmethod
     def from_records(cls, events: Iterable[InteractionEvent], vocab: LogVocab | None = None) -> "EventLog":
-        vocab = vocab if vocab is not None else LogVocab()
-        actor, site = array("i"), array("i")
-        kind = array("b")
-        ts = array("q")
-        upd = array("i")
-        for i, ev in enumerate(events):
-            _validate_interaction(ev, line=i)
-            actor.append(vocab.authors.code(ev.actor_id))
-            site.append(vocab.sites.code(ev.site_id))
-            kind.append(KIND_CODES[ev.kind])
-            ts.append(-1 if ev.timestamp is None else ev.timestamp)
-            upd.append(-1 if ev.update_id is None else vocab.updates.code(ev.update_id))
-        return cls(
-            vocab,
-            np.asarray(actor, dtype=np.int32),
-            np.asarray(site, dtype=np.int32),
-            np.asarray(kind, dtype=np.int8),
-            np.asarray(ts, dtype=np.int64),
-            np.asarray(upd, dtype=np.int32),
-        )
+        """Validate records as JSON-lines objects (record ``i`` is line ``i``);
+        unlike the file loaders, repeated events are kept."""
+        return _event_log(_record_rows(events, INTERACTION_COLUMNS), vocab if vocab is not None else LogVocab())
 
     def _select(self, mask) -> "EventLog":
         return EventLog(
@@ -282,33 +231,22 @@ class UpdateLog(Sequence):
 
     @classmethod
     def from_records(cls, updates: Iterable[UpdateEvent], vocab: LogVocab | None = None) -> "UpdateLog":
-        vocab = vocab if vocab is not None else LogVocab()
-        author, site, upd = array("i"), array("i"), array("i")
-        ts = array("q")
-        role = array("b")
-        for i, ev in enumerate(updates):
-            _validate_update(ev, line=i)
-            author.append(vocab.authors.code(ev.author_id))
-            site.append(vocab.sites.code(ev.site_id))
-            upd.append(vocab.updates.code(ev.update_id))
-            ts.append(ev.timestamp)
-            role.append(ROLE_CODES[ev.role_label])
-        log = cls(
-            vocab,
-            np.asarray(author, dtype=np.int32),
-            np.asarray(site, dtype=np.int32),
-            np.asarray(upd, dtype=np.int32),
-            np.asarray(ts, dtype=np.int64),
-            np.asarray(role, dtype=np.int8),
-        )
+        """Validate records as JSON-lines objects (record ``i`` is line ``i``);
+        unlike the file loaders, a repeated update raises."""
+        log = _update_log(_record_rows(updates, UPDATE_COLUMNS), vocab if vocab is not None else LogVocab())
         log._check_unique_update_ids()
         return log
 
-    def _check_unique_update_ids(self) -> None:
-        if len(self.update) != len(_sorted_unique(self.update)):
-            codes, counts = np.unique(self.update, return_counts=True)
-            dupes = [self.vocab.updates.id(int(c)) for c in codes[counts > 1][:10]]
-            raise SchemaError(f"duplicate update ids: {', '.join(dupes)}", field="update_id")
+    def _check_unique_update_ids(self, line_of=None) -> None:
+        """Reject an update id on two rows, naming the line of the first row
+        that repeats one; ``line_of`` maps a row index to its line."""
+        if len(self.update) == len(_sorted_unique(self.update)):
+            return
+        order = np.argsort(self.update, kind="stable")
+        codes = self.update[order]
+        row = int(order[1:][codes[1:] == codes[:-1]].min())
+        ident = self.vocab.updates.id(int(self.update[row]))
+        raise SchemaError(f"duplicate update id '{ident}'", line=row if line_of is None else line_of(row), field="update_id")
 
     def __len__(self) -> int:
         return len(self.author)
@@ -353,12 +291,13 @@ class DirectedInteractionLog(Sequence):
         kind = array("b")
         for i, rec in enumerate(records):
             if rec.source_author == rec.target_author:
-                raise ValueError(f"self-interaction {rec.source_author!r} -> itself")
-            _check_timestamp(rec.timestamp, i, minimum=-_INT64_MAX - 1)  # negative times stay allowed here
+                raise SchemaError(f"self-interaction {rec.source_author!r} -> itself", line=i, field="target_author")
+            kind.append(_kind_code(rec.kind, i))
+            # Author keys stay as given; negative times are allowed here.
+            (t,) = _fields((rec.timestamp,), i, ("timestamp",))
+            ts.append(_parse_int(t, i, "timestamp", minimum=-_INT64_MAX - 1))
             src.append(vocab.authors.code(rec.source_author))
             dst.append(vocab.authors.code(rec.target_author))
-            ts.append(rec.timestamp)
-            kind.append(KIND_CODES[rec.kind])
             site.append(vocab.sites.code(rec.via_site))
         return cls(
             vocab,
@@ -394,13 +333,52 @@ class DirectedInteractionLog(Sequence):
 def _parse_int(text, line, field, minimum=0):
     try:
         value = int(text)
-    except ValueError:
+    except (TypeError, ValueError):
         raise SchemaError(f"not an integer: {text!r}", line=line, field=field) from None
     if value < minimum:
-        raise SchemaError(f"negative {field}", line=line, field=field)
+        raise SchemaError(f"negative {field}" if minimum == 0 else f"{field} below {minimum}", line=line, field=field)
     if value > _INT64_MAX:
         raise SchemaError(f"{field} exceeds {_INT64_MAX}: {text!r}", line=line, field=field)
     return value
+
+
+def _kind_code(kind, line) -> int:
+    code = KIND_CODES.get(kind)
+    if code is None:
+        raise SchemaError(f"unknown kind '{kind}'", line=line, field="kind")
+    return code
+
+
+def _role_code(label, line) -> int:
+    """Code of a role label; an empty label means unlabeled."""
+    code = ROLE_CODES.get(label if label else "unlabeled")
+    if code is None:
+        raise SchemaError(f"unknown role_label '{label}'", line=line, field="role_label")
+    return code
+
+
+def _fields(values, line, columns) -> list[str]:
+    """One parsed object's values as strings, as a CSV row would hold them:
+    absent or empty is "", a bool is an error, anything else is its str."""
+    row = []
+    for col, val in zip(columns, values):
+        if val is None or val == "":
+            row.append("")
+        elif isinstance(val, bool):
+            raise SchemaError(f"expected string or integer: {val!r}", line=line, field=col)
+        else:
+            try:
+                row.append(str(val))
+            except ValueError:  # an int too long to print
+                raise SchemaError("value too long", line=line, field=col) from None
+    return row
+
+
+def _record_rows(records, columns):
+    """(index, fields) rows of records whose attribute names are ``columns``."""
+    get = attrgetter(*columns)
+    for i, rec in enumerate(records):
+        yield i, _fields(get(rec), i, columns)
 
 
 def _open_rows(path, fmt, columns):
@@ -411,17 +389,19 @@ def _open_rows(path, fmt, columns):
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             try:
-                header = next(reader)
-            except StopIteration:
-                return
-            if tuple(header) != columns:
-                raise SchemaError(f"expected header {','.join(columns)}, got {','.join(header)}", line=1)
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(columns):
-                    raise SchemaError(f"expected {len(columns)} fields, got {len(row)}", line=lineno)
-                yield lineno, row
+                header = next(reader, None)
+                if header is None:
+                    return
+                if tuple(header) != columns:
+                    raise SchemaError(f"expected header {','.join(columns)}, got {','.join(header)}", line=1)
+                for lineno, row in enumerate(reader, start=2):
+                    if not row:
+                        continue
+                    if len(row) != len(columns):
+                        raise SchemaError(f"expected {len(columns)} fields, got {len(row)}", line=lineno)
+                    yield lineno, row
+            except csv.Error as exc:
+                raise SchemaError(f"unreadable CSV: {exc}", line=reader.line_num) from None
     elif fmt == "json-lines":
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -430,32 +410,17 @@ def _open_rows(path, fmt, columns):
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise SchemaError(f"invalid JSON: {exc}", line=lineno) from None
                 if not isinstance(obj, dict):
                     raise SchemaError("expected a JSON object", line=lineno)
-                row = []
-                for col in columns:
-                    val = obj.get(col)
-                    if val is None or val == "":
-                        row.append("")
-                    elif isinstance(val, bool):
-                        raise SchemaError(f"expected string or integer: {val!r}", line=lineno, field=col)
-                    else:
-                        row.append(str(val))
-                yield lineno, row
+                yield lineno, _fields(map(obj.get, columns), lineno, columns)
     else:
         raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json-lines'")
 
 
-def load_events(path, fmt: str = "csv", vocab: LogVocab | None = None) -> tuple[EventLog, int]:
-    """Load interaction events; returns (log, number of duplicate rows removed).
-
-    Exact duplicate rows (all five fields equal) are collapsed to their first
-    occurrence. Malformed rows raise :class:`SchemaError` naming the line and
-    field.
-    """
-    vocab = vocab if vocab is not None else LogVocab()
+def _event_log(rows, vocab: LogVocab) -> EventLog:
+    """Validate and intern (line, fields) interaction rows."""
     actor, site = array("i"), array("i")
     kind = array("b")
     ts = array("q")
@@ -463,11 +428,9 @@ def load_events(path, fmt: str = "csv", vocab: LogVocab | None = None) -> tuple[
     author_code = vocab.authors.code
     site_code = vocab.sites.code
     update_code = vocab.updates.code
-    for lineno, row in _open_rows(path, fmt, INTERACTION_COLUMNS):
+    for lineno, row in rows:
         a, s, k, t, u = row
-        kcode = KIND_CODES.get(k)
-        if kcode is None:
-            raise SchemaError(f"unknown kind '{k}'", line=lineno, field="kind")
+        kcode = _kind_code(k, lineno)
         if not a:
             raise SchemaError("missing actor id", line=lineno, field="actor_id")
         if not s:
@@ -489,7 +452,7 @@ def load_events(path, fmt: str = "csv", vocab: LogVocab | None = None) -> tuple[
         kind.append(kcode)
         ts.append(tval)
         upd.append(ucode)
-    log = EventLog(
+    return EventLog(
         vocab,
         np.asarray(actor, dtype=np.int32),
         np.asarray(site, dtype=np.int32),
@@ -497,19 +460,14 @@ def load_events(path, fmt: str = "csv", vocab: LogVocab | None = None) -> tuple[
         np.asarray(ts, dtype=np.int64),
         np.asarray(upd, dtype=np.int32),
     )
-    keep, removed = _dedupe_mask((log.actor, log.site, log.kind, log.timestamp, log.update))
-    if removed:
-        log = log._select(keep)
-    return log, removed
 
 
-def load_updates(path, fmt: str = "csv", vocab: LogVocab | None = None) -> tuple[UpdateLog, int]:
-    """Load journal updates; returns (log, number of duplicate rows removed)."""
-    vocab = vocab if vocab is not None else LogVocab()
+def _update_log(rows, vocab: LogVocab) -> UpdateLog:
+    """Validate and intern (line, fields) update rows."""
     author, site, upd = array("i"), array("i"), array("i")
     ts = array("q")
     role = array("b")
-    for lineno, row in _open_rows(path, fmt, UPDATE_COLUMNS):
+    for lineno, row in rows:
         a, s, u, t, r = row
         if not a:
             raise SchemaError("missing author id", line=lineno, field="author_id")
@@ -519,15 +477,13 @@ def load_updates(path, fmt: str = "csv", vocab: LogVocab | None = None) -> tuple
             raise SchemaError("missing update id", line=lineno, field="update_id")
         if t == "":
             raise SchemaError("missing timestamp", line=lineno, field="timestamp")
-        rcode = ROLE_CODES.get(r if r else "unlabeled")
-        if rcode is None:
-            raise SchemaError(f"unknown role_label '{r}'", line=lineno, field="role_label")
+        rcode = _role_code(r, lineno)
         author.append(vocab.authors.code(a))
         site.append(vocab.sites.code(s))
         upd.append(vocab.updates.code(u))
         ts.append(_parse_int(t, lineno, "timestamp"))
         role.append(rcode)
-    log = UpdateLog(
+    return UpdateLog(
         vocab,
         np.asarray(author, dtype=np.int32),
         np.asarray(site, dtype=np.int32),
@@ -535,10 +491,34 @@ def load_updates(path, fmt: str = "csv", vocab: LogVocab | None = None) -> tuple
         np.asarray(ts, dtype=np.int64),
         np.asarray(role, dtype=np.int8),
     )
+
+
+def load_events(path, fmt: str = "csv", vocab: LogVocab | None = None) -> tuple[EventLog, int]:
+    """Load interaction events; returns (log, number of duplicate rows removed).
+
+    Exact duplicate rows (all five fields equal) are collapsed to their first
+    occurrence. Malformed rows raise :class:`SchemaError` naming the line and
+    field.
+    """
+    log = _event_log(_open_rows(path, fmt, INTERACTION_COLUMNS), vocab if vocab is not None else LogVocab())
+    keep, removed = _dedupe_mask((log.actor, log.site, log.kind, log.timestamp, log.update))
+    if removed:
+        log = log._select(keep)
+    return log, removed
+
+
+def load_updates(path, fmt: str = "csv", vocab: LogVocab | None = None) -> tuple[UpdateLog, int]:
+    """Load journal updates; returns (log, number of duplicate rows removed)."""
+    log = _update_log(_open_rows(path, fmt, UPDATE_COLUMNS), vocab if vocab is not None else LogVocab())
     keep, removed = _dedupe_mask((log.author, log.site, log.update, log.timestamp, log.role))
     if removed:
-        log = UpdateLog(vocab, log.author[keep], log.site[keep], log.update[keep], log.timestamp[keep], log.role[keep])
-    log._check_unique_update_ids()
+        log = UpdateLog(log.vocab, log.author[keep], log.site[keep], log.update[keep], log.timestamp[keep], log.role[keep])
+
+    def line_of(row):  # error path only: re-read the file up to the kept row
+        row = int(np.flatnonzero(keep)[row])
+        return next(islice(_open_rows(path, fmt, UPDATE_COLUMNS), row, None))[0]
+
+    log._check_unique_update_ids(line_of)
     return log, removed
 
 

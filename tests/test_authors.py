@@ -17,10 +17,12 @@ from netchoice.authors import (
     assign_health_condition,
     assign_state,
     cohens_kappa,
+    load_geo_posts,
+    load_site_conditions,
     shared_account,
     shared_health_condition,
 )
-from netchoice.events import UpdateEvent
+from netchoice.events import SchemaError, UpdateEvent
 
 DAY = int(SECONDS_PER_DAY)
 
@@ -324,3 +326,39 @@ class TestAuthorDirectory:
         assert rec.role == ROLE_PATIENT
         assert rec.site_ids == ("s",)
         assert rec.first_update_time == 3
+
+    def test_record_role_lookup_matches_the_loaders(self):
+        d = directory_from([UpdateEvent("a", "s", "u1", 3, ""), UpdateEvent("b", "s", "u2", 4, "P")])
+        assert d.role("b") == ROLE_PATIENT
+        assert d.record("a").role is None  # "" means unlabeled
+        with pytest.raises(SchemaError) as err:
+            directory_from([UpdateEvent("a", "s", "u1", 3, "P"), UpdateEvent("a", "s", "u2", 4, "patient")])
+        assert (err.value.line, err.value.field) == (1, "role_label")
+
+
+class TestSideFiles:
+    def test_geo_post_timestamp_not_an_integer(self, tmp_path):
+        path = tmp_path / "geo.csv"
+        path.write_text("author_id,timestamp,state\na,5,MN\nb,abc,CA\n")
+        with pytest.raises(SchemaError) as err:
+            load_geo_posts(path)
+        assert (err.value.line, err.value.field) == (3, "timestamp")
+
+    def test_geo_posts_short_row(self, tmp_path):
+        path = tmp_path / "geo.csv"
+        path.write_text("author_id,timestamp,state\na\n")
+        with pytest.raises(SchemaError) as err:
+            load_geo_posts(path)
+        assert (err.value.line, err.value.field) == (2, "timestamp")
+
+    def test_site_created_not_an_integer(self, tmp_path):
+        path = tmp_path / "sites.csv"
+        path.write_text("site_id,health_condition,created\ns1,Cancer,10\ns2,,1.5\n")
+        with pytest.raises(SchemaError) as err:
+            load_site_conditions(path)
+        assert (err.value.line, err.value.field) == (3, "created")
+
+    def test_site_conditions_round_trip(self, tmp_path):
+        path = tmp_path / "sites.csv"
+        path.write_text("site_id,health_condition,created\ns1,Cancer,10\ns2,,\n")
+        assert load_site_conditions(path) == ({"s1": "Cancer", "s2": None}, {"s1": 10})

@@ -271,6 +271,13 @@ class TestExitCodes:
                     "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
         assert "line 2, field 'timestamp'" in capsys.readouterr().err
 
+    def test_geo_post_timestamp_not_an_integer_is_1(self, world, tmp_path, capsys):
+        geo = tmp_path / "geo.csv"
+        geo.write_text("author_id,timestamp,state\na,abc,MN\n")
+        assert run(["authors", "--updates", world["updates"], "--geo-posts", str(geo),
+                    "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert "line 2, field 'timestamp'" in capsys.readouterr().err
+
     def test_bad_config_key_is_1(self, world, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("not_a_key=1\n")

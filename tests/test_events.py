@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -446,3 +447,225 @@ def test_load_logs_shares_vocab(tmp_path):
     resolved = resolve_amp_timestamps(events, updates)
     assert resolved[0].timestamp == 42
     assert stats["interaction_duplicates_removed"] == 0
+
+
+# One row path: records, CSV and JSON-lines go through the same checks.
+
+VALID_IDS = st.sampled_from(["a", "b", "c"])
+ANY_IDS = st.sampled_from(["a", "s", "u1", "", None])
+UPDATE_IDS = st.integers(0, 30).map("u{}".format)
+VALID_TIMES = st.one_of(st.integers(0, 20), st.just(2**63 - 1))
+ANY_TIMES = st.one_of(st.none(), st.sampled_from([-1, -(2**63), 2**63, 10**20]), VALID_TIMES)
+KIND_VALUES = st.sampled_from(["guestbook", "amp", "comment"])
+EVENT_RECORDS = (
+    st.builds(InteractionEvent, VALID_IDS, VALID_IDS, KIND_VALUES, VALID_TIMES, UPDATE_IDS),
+    st.builds(InteractionEvent, ANY_IDS, ANY_IDS, KIND_VALUES | st.sampled_from(["visit", "", None]), ANY_TIMES, ANY_IDS),
+)
+UPDATE_RECORDS = (
+    st.builds(UpdateEvent, VALID_IDS, VALID_IDS, UPDATE_IDS, VALID_TIMES, st.sampled_from(["P", "CG", "unlabeled", "", None])),
+    st.builds(UpdateEvent, ANY_IDS, ANY_IDS, ANY_IDS, ANY_TIMES, st.sampled_from(["P", "", None, "X"])),
+)
+
+
+def log_rows(valid, anything):
+    """Valid records, at most one arbitrary record, and copies of the first
+    two, in random order."""
+    return st.tuples(st.lists(valid, max_size=6), st.lists(anything, max_size=1)).flatmap(
+        lambda parts: st.permutations(parts[0] + parts[1] + (parts[0] + parts[1])[:2])
+    )
+
+
+def write_rows(tmp_path, name, columns, records):
+    """Write records to CSV and to JSON-lines; absent values are left empty
+    in CSV and left out of the JSON objects."""
+    csv_path, jsonl_path = tmp_path / f"{name}.csv", tmp_path / f"{name}.jsonl"
+    with open(csv_path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(columns)
+        out.writerows(["" if getattr(r, c) is None else getattr(r, c) for c in columns] for r in records)
+    with open(jsonl_path, "w") as fh:
+        for r in records:
+            fh.write(json.dumps({c: getattr(r, c) for c in columns if getattr(r, c) is not None}) + "\n")
+    return csv_path, jsonl_path
+
+
+def first_occurrences(records):
+    """Records with exact repeats dropped, reading absent and empty values
+    (and an "unlabeled" role) as equal, as the files do."""
+    seen, kept = set(), []
+    for r in records:
+        key = tuple("" if v is None or v == "unlabeled" else v for v in vars(r).values())
+        if key not in seen:
+            seen.add(key)
+            kept.append(r)
+    return kept
+
+
+def outcome(load):
+    """('ok', rows, code columns) of a loaded log, or ('error', field)."""
+    try:
+        log = load()
+    except SchemaError as exc:
+        assert exc.line is not None, exc
+        return ("error", exc.field)
+    columns = [getattr(log, name).tolist() for name in log.__slots__[1:]]
+    return ("ok", list(log), columns)
+
+
+class TestOneRowPath:
+    @pytest.mark.parametrize(
+        "loader, log_cls, columns, records",
+        [
+            (load_events, EventLog, HEADER.strip().split(","), EVENT_RECORDS),
+            (load_updates, UpdateLog, UPDATE_HEADER.strip().split(","), UPDATE_RECORDS),
+        ],
+        ids=["events", "updates"],
+    )
+    def test_files_equal_records(self, tmp_path, loader, log_cls, columns, records):
+        @given(log_rows(*records))
+        def check(rows):
+            csv_path, jsonl_path = write_rows(tmp_path, "log", columns, rows)
+            unique = first_occurrences(rows)
+            want = outcome(lambda: log_cls.from_records(unique))
+            for path, fmt in ((csv_path, "csv"), (jsonl_path, "json-lines")):
+                assert outcome(lambda: loader(path, fmt)[0]) == want, fmt
+                if want[0] == "ok":
+                    assert loader(path, fmt)[1] == len(rows) - len(unique)
+
+        check()
+
+    def test_record_repeats_are_kept_or_raise(self):
+        event = InteractionEvent("a", "s", "guestbook", 5)
+        assert len(EventLog.from_records([event, event])) == 2
+        update = UpdateEvent("a", "s", "u1", 5)
+        with pytest.raises(SchemaError) as err:
+            UpdateLog.from_records([update, update])
+        assert (err.value.line, err.value.field) == (1, "update_id")
+
+    def test_file_update_id_clash_names_its_line(self, tmp_path):
+        rows = "a,s,u1,5,P\na,s,u1,5,P\n\nb,s,u2,9,\nb,s,u1,9,CG\n"
+        with pytest.raises(SchemaError) as err:
+            load_updates(write(tmp_path, "up.csv", UPDATE_HEADER + rows))
+        assert (err.value.line, err.value.field) == (6, "update_id")
+
+
+def assert_schema_error(call, line, field):
+    with pytest.raises(SchemaError) as err:
+        call()
+    assert (err.value.line, err.value.field) == (line, field)
+
+
+class TestRecordSchema:
+    def test_float_and_bool_timestamps_are_schema_errors(self):
+        for bad in (1.5, 5.0, True):
+            assert_schema_error(lambda: EventLog.from_records([InteractionEvent("a", "s", "guestbook", bad)]), 0, "timestamp")
+            assert_schema_error(lambda: UpdateLog.from_records([UpdateEvent("a", "s", "u1", bad)]), 0, "timestamp")
+
+    def test_digit_string_timestamp_is_read_as_in_csv(self):
+        assert EventLog.from_records([InteractionEvent("a", "s", "guestbook", "5")])[0].timestamp == 5
+
+    def test_empty_or_absent_role_is_unlabeled(self):
+        log = UpdateLog.from_records([UpdateEvent("a", "s", "u1", 5, ""), UpdateEvent("a", "s", "u2", 6, None)])
+        assert [u.role_label for u in log] == ["unlabeled", "unlabeled"]
+        assert_schema_error(lambda: UpdateLog.from_records([UpdateEvent("a", "s", "u1", 5, "X")]), 0, "role_label")
+
+    def test_bool_id_is_schema_error(self):
+        assert_schema_error(lambda: EventLog.from_records([InteractionEvent(True, "s", "guestbook", 1)]), 0, "actor_id")
+
+    def test_non_string_ids_become_their_str(self):
+        assert EventLog.from_records([InteractionEvent(7, 8, "guestbook", 1)])[0] == InteractionEvent("7", "8", "guestbook", 1)
+
+    def test_directed_log_rows_are_schema_errors(self):
+        ok = DirectedInteraction("a", "b", 1, "guestbook", "s")
+        cases = [
+            (DirectedInteraction("a", "b", 1, "visit", "s"), "kind"),
+            (DirectedInteraction("a", "b", 1.5, "guestbook", "s"), "timestamp"),
+            (DirectedInteraction("a", "b", False, "guestbook", "s"), "timestamp"),
+            (DirectedInteraction("a", "b", -(2**63) - 1, "guestbook", "s"), "timestamp"),
+            (DirectedInteraction("a", "a", 1, "guestbook", "s"), "target_author"),
+        ]
+        for bad, field in cases:
+            assert_schema_error(lambda: DirectedInteractionLog.from_records([ok, bad]), 1, field)
+
+    def test_directed_log_keeps_author_keys_and_negative_times(self):
+        log = DirectedInteractionLog.from_records([DirectedInteraction(1, 2, -(2**63), "amp", "s")])
+        assert log[0] == DirectedInteraction(1, 2, -(2**63), "amp", "s")
+
+
+JSON_VALUE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**80), 2**80),
+    st.floats(allow_nan=False),
+    st.text(max_size=6),
+    st.sampled_from(["", "a", "guestbook", "amp", "comment", "P", "CG", "5", "-5", "1e3"]),
+    st.lists(st.integers(), max_size=2),
+)
+CSV_CELL = st.one_of(st.text(max_size=6), st.sampled_from(["", "a", "guestbook", "amp", "P", "5", "-5", "1.5", "True"]))
+
+
+class TestFuzzRows:
+    """Malformed rows in either format raise only a SchemaError that has a line."""
+
+    @pytest.mark.parametrize("loader, header", [(load_events, HEADER), (load_updates, UPDATE_HEADER)], ids=["events", "updates"])
+    def test_csv_rows(self, tmp_path, loader, header):
+        @given(st.lists(st.lists(CSV_CELL, min_size=4, max_size=6), max_size=5))
+        def check(rows):
+            path = tmp_path / "fuzz.csv"
+            with open(path, "w", newline="") as fh:
+                fh.write(header)
+                csv.writer(fh).writerows(rows)
+            try:
+                loader(path)
+            except SchemaError as exc:
+                assert exc.line is not None, exc
+
+        check()
+
+    @pytest.mark.parametrize("loader, header", [(load_events, HEADER), (load_updates, UPDATE_HEADER)], ids=["events", "updates"])
+    def test_json_lines_objects(self, tmp_path, loader, header):
+        columns = header.strip().split(",")
+        objects = st.one_of(
+            st.fixed_dictionaries({}, optional={c: JSON_VALUE for c in columns}),
+            JSON_VALUE,
+        )
+
+        @given(st.lists(objects, max_size=5))
+        @example([{"actor_id": "a", "site_id": "s", "kind": "guestbook", "timestamp": 1.5}])
+        @example([{"actor_id": "a", "site_id": "s", "kind": "guestbook", "timestamp": True}])
+        def check(objs):
+            path = tmp_path / "fuzz.jsonl"
+            path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+            try:
+                loader(path, "json-lines")
+            except SchemaError as exc:
+                assert exc.line is not None, exc
+
+        check()
+
+    def test_json_integer_too_long_to_read(self, tmp_path):
+        path = write(tmp_path, "up.jsonl", '{"author_id": "a", "timestamp": ' + "9" * 5000 + "}\n")
+        assert_schema_error(lambda: load_updates(path, "json-lines"), 1, None)
+
+    def test_json_nested_too_deep_to_read(self, tmp_path):
+        row = {"author_id": "a", "site_id": "s", "update_id": "u1", "timestamp": 5}
+        path = write(tmp_path, "up.jsonl", json.dumps(row) + "\n" + "[" * 100_000 + "\n")
+        assert_schema_error(lambda: load_updates(path, "json-lines"), 2, None)
+
+    def test_csv_field_past_the_reader_limit(self, tmp_path):
+        path = write(tmp_path, "ev.csv", HEADER + "a,s,guestbook,1,\n" + "a" * 200_000 + ",s,guestbook,1,\n")
+        assert_schema_error(lambda: load_events(path), 3, None)
+
+    def test_records(self):
+        @given(st.lists(st.builds(InteractionEvent, JSON_VALUE, JSON_VALUE, JSON_VALUE, JSON_VALUE, JSON_VALUE), max_size=4))
+        @example([InteractionEvent("a", "s", "guestbook", 1.5)])
+        @example([InteractionEvent("a", "s", "guestbook", True)])
+        @example([InteractionEvent("a", "s", "guestbook", 10**5000)])
+        def check(records):
+            try:
+                EventLog.from_records(records)
+            except SchemaError as exc:
+                assert exc.line is not None, exc
+
+        check()
