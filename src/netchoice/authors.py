@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import ROLE_P, SchemaError, UpdateLog, _parse_int, _role_code
+from .events import ROLE_P, SchemaError, UpdateLog, _fields, _parse_int, _role_code
 
 SECONDS_PER_DAY = 86_400.0
 DAYS_PER_MONTH = 30.44
@@ -181,6 +181,14 @@ class AuthorRecord:
     first_update_time: int | None
 
 
+def _record_updates(updates):
+    """(author, site, timestamp, role code) of UpdateEvent records, whose
+    timestamps and labels pass the file loaders' checks (record ``i`` is line ``i``)."""
+    for i, u in enumerate(updates):
+        (t,) = _fields((u.timestamp,), i, ("timestamp",))
+        yield u.author_id, u.site_id, _parse_int(t, i, "timestamp"), _role_code(u.role_label, i)
+
+
 class AuthorDirectory:
     """Per-author aggregates derived from the update log.
 
@@ -211,7 +219,7 @@ class AuthorDirectory:
                 updates.role.tolist(),
             )
         else:
-            rows = ((u.author_id, u.site_id, u.timestamp, _role_code(u.role_label, i)) for i, u in enumerate(updates))
+            rows = _record_updates(updates)
 
         times: dict = {}
         for author, site, t, role in rows:

@@ -386,7 +386,7 @@ def _open_rows(path, fmt, columns):
     if fmt == "csv":
         import csv
 
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader, None)
@@ -402,21 +402,62 @@ def _open_rows(path, fmt, columns):
                     yield lineno, row
             except csv.Error as exc:
                 raise SchemaError(f"unreadable CSV: {exc}", line=reader.line_num) from None
+            except UnicodeDecodeError:
+                raise _decode_error(path, fmt, columns) from None
     elif fmt == "json-lines":
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except (ValueError, RecursionError) as exc:
-                    raise SchemaError(f"invalid JSON: {exc}", line=lineno) from None
-                if not isinstance(obj, dict):
-                    raise SchemaError("expected a JSON object", line=lineno)
-                yield lineno, _fields(map(obj.get, columns), lineno, columns)
+        with open(path, encoding="utf-8") as fh:
+            try:
+                for lineno, line in enumerate(fh, start=1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        obj = json.loads(line)
+                    except (ValueError, RecursionError) as exc:
+                        raise SchemaError(f"invalid JSON: {exc}", line=lineno) from None
+                    if not isinstance(obj, dict):
+                        raise SchemaError("expected a JSON object", line=lineno)
+                    yield lineno, _fields(map(obj.get, columns), lineno, columns)
+            except UnicodeDecodeError:
+                raise _decode_error(path, fmt, columns) from None
     else:
         raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json-lines'")
+
+
+def _decode_error(path, fmt, columns) -> SchemaError:
+    """The error for a log that is not UTF-8, naming the first line that does
+    not decode and the field holding the byte, where the line still parses.
+
+    The text reader decodes whole buffers, so the file is read again, line by
+    line in binary; this runs only after a decode has failed.
+    """
+    import csv
+    import re
+
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                byte = raw[exc.start]
+                break
+        else:
+            return SchemaError("not UTF-8")
+    # surrogateescape maps each byte that does not decode to U+DC80..U+DCFF.
+    text = raw.decode("utf-8", errors="surrogateescape")
+    values = []
+    if fmt == "csv" and lineno > 1:
+        values = next(csv.reader([text]), [])
+    elif fmt == "json-lines":
+        try:
+            obj = json.loads(text)
+        except (ValueError, RecursionError):
+            obj = None
+        if isinstance(obj, dict):
+            values = [obj.get(col) for col in columns]
+    escaped = re.compile("[\udc80-\udcff]")
+    field = next((col for col, val in zip(columns, values) if isinstance(val, str) and escaped.search(val)), None)
+    return SchemaError(f"not UTF-8: byte 0x{byte:02x}", line=lineno, field=field)
 
 
 def _event_log(rows, vocab: LogVocab) -> EventLog:
@@ -590,6 +631,11 @@ def filter_self_interactions(events: EventLog, updates: UpdateLog) -> tuple[Even
     return events._select(~self_mask), removed
 
 
+# Fan-out rows projection expands at once: its temporaries are bounded by
+# this, whatever the site sizes. A larger (timestamp, actor) group is one chunk.
+_PROJECT_CHUNK = 1 << 17
+
+
 def _prior_counts(evt_site, evt_time, site_of, first_t):
     """Per event, the count of first update times on its site strictly before
     it, by a merge pass over (site, time); temporaries are freed on return."""
@@ -666,32 +712,60 @@ def project_to_author_edges(events: EventLog, updates: UpdateLog) -> DirectedInt
     p_start = p_bounds[evt_site]
     p_count = p_bounds[evt_site + 1] - p_start
 
-    def expand(counts, source_start, source_authors):
-        total = int(counts.sum())
-        ranks = np.repeat(np.arange(n_events, dtype=np.int64), counts)
-        csum = np.cumsum(counts) - counts
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(csum, counts)
-        targets = source_authors[np.repeat(source_start, counts) + offsets]
-        return ranks, targets
+    # Rows of events sharing a (timestamp, actor) group are ordered together,
+    # so chunks of ranks are cut only at group starts.
+    new_group = np.ones(n_events, dtype=bool)
+    new_group[1:] = (evt_time[1:] != evt_time[:-1]) | (actor[1:] != actor[:-1])
+    group = np.cumsum(new_group) - 1
+    group_starts = np.append(np.flatnonzero(new_group), n_events)
+    fanout_before = np.concatenate(([0], np.cumsum(prior_count + p_count)))[group_starts]
+    total = int(fanout_before[-1])
+    rank_out = np.empty(total, dtype=np.int64)
+    dst_out = np.empty(total, dtype=np.int32)
+    n_out = g = 0
+    while g < len(group_starts) - 1:
+        # As many whole groups as fit in one chunk of fan-out, at least one.
+        end = max(int(np.searchsorted(fanout_before, fanout_before[g] + _PROJECT_CHUNK, side="right")) - 1, g + 1)
+        rank, dst = _project_chunk(
+            int(group_starts[g]), int(group_starts[end]), n_authors, actor, group,
+            (prior_count, block_start, author_of), (p_count, p_start, p_author),
+        )
+        rank_out[n_out : n_out + len(rank)] = rank
+        dst_out[n_out : n_out + len(rank)] = dst
+        n_out += len(rank)
+        g = end
+    dst = dst_out[:n_out].copy()
+    del dst_out
+    rank = rank_out[:n_out]
+    row = by_rank[rank]
+    return DirectedInteractionLog(vocab, actor[rank], dst, evt_time[rank], events.kind[row], events.site[row])
 
-    rank1, tgt1 = expand(prior_count, block_start, author_of)
-    rank2, tgt2 = expand(p_count, p_start, p_author)
-    rank = np.concatenate((rank1, rank2))
-    tgt = np.concatenate((tgt1, tgt2)).astype(np.int64)
+
+def _project_chunk(lo, hi, n_authors, actor, group, *sources):
+    """(rank, target) rows of the events ranked ``lo`` to ``hi``, in output order.
+
+    Each source is (per-rank count, per-rank start, target authors): a rank
+    links to ``count`` consecutive authors from ``start``. Self-targets and
+    repeated targets of one event are dropped; rows come out by (group,
+    target), ties in rank order.
+    """
+    ranks, targets = [], []
+    for counts, starts, authors in sources:
+        counts = counts[lo:hi]
+        offsets = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+        ranks.append(np.repeat(np.arange(lo, hi, dtype=np.int64), counts))
+        targets.append(authors[np.repeat(starts[lo:hi], counts) + offsets])
+    rank = np.concatenate(ranks)
+    tgt = np.concatenate(targets).astype(np.int64)
     keep = tgt != actor[rank]
-    # Deduped rows come out in (rank, target) order. Only events sharing a
+    # Deduped keys come out in (rank, target) order. Only events sharing a
     # (timestamp, actor) group can interleave: order within each group by
     # target, stably, so ties keep event order.
     pair_key = _sorted_unique(rank[keep] * n_authors + tgt[keep])
     rank = pair_key // n_authors
     dst = pair_key % n_authors
-    new_group = np.ones(n_events, dtype=bool)
-    new_group[1:] = (evt_time[1:] != evt_time[:-1]) | (actor[1:] != actor[:-1])
-    group = np.cumsum(new_group) - 1
     order = np.argsort(group[rank] * n_authors + dst, kind="stable")
-    rank = rank[order]
-    row = by_rank[rank]
-    return DirectedInteractionLog(vocab, actor[rank], dst[order].astype(np.int32), evt_time[rank], events.kind[row], events.site[row])
+    return rank[order], dst[order]
 
 
 def unique_pair_count(interactions) -> int:

@@ -60,14 +60,12 @@ class UnionFind:
     is an implicit singleton.
     """
 
-    __slots__ = ("parent", "size", "largest_size", "largest_root", "n_components")
+    __slots__ = ("parent", "size", "largest_size")
 
     def __init__(self):
         self.parent: dict = {}
         self.size: dict = {}
         self.largest_size = 0
-        self.largest_root = None
-        self.n_components = 0
 
     def find(self, x):
         parent = self.parent
@@ -91,7 +89,7 @@ class UnionFind:
         inlined, so a long edge list costs no call per pair.
         """
         parent, size = self.parent, self.size
-        largest_size, largest_root, n_components = self.largest_size, self.largest_root, self.n_components
+        largest_size = self.largest_size
         merges = 0
         for a, b in zip(srcs, dsts):
             if a in parent:
@@ -103,7 +101,6 @@ class UnionFind:
             else:
                 parent[a] = ra = a
                 size[a] = 1
-                n_components += 1
             if b in parent:
                 rb = parent[b]
                 while parent[rb] != rb:
@@ -113,18 +110,16 @@ class UnionFind:
             else:
                 parent[b] = rb = b
                 size[b] = 1
-                n_components += 1
             if ra == rb:
                 continue
             if size[ra] < size[rb]:
                 ra, rb = rb, ra
             parent[rb] = ra
             merged = size[ra] = size[ra] + size.pop(rb)
-            n_components -= 1
             merges += 1
             if merged > largest_size:
-                largest_size, largest_root = merged, ra
-        self.largest_size, self.largest_root, self.n_components = largest_size, largest_root, n_components
+                largest_size = merged
+        self.largest_size = largest_size
         return merges
 
     def component_size(self, x) -> int:
@@ -443,7 +438,7 @@ def build(interactions, extra_nodes=None) -> TemporalGraph:
     else:
         graph = TemporalGraph()
         src, dst, times = _intern_records(graph, interactions)
-    _first_edges(graph, *(np.asarray(column, dtype=np.int64) for column in (src, dst, times)))
+    _first_edges(graph, src, dst, times)
     if extra_nodes:
         for node, t in extra_nodes.items():
             graph.register_node(node, t)
@@ -484,14 +479,20 @@ def _first_edges(graph: TemporalGraph, src, dst, times) -> None:
         raise InvalidEdgeError(f"self-edge {node!r}")
     if len(src) == 0:
         return
+    # The code columns are not widened; the packed key, its sort order and
+    # the sorted keys are the only row-length temporaries, each freed once used.
     span = _code_span(src, dst)
-    key = src * span + dst
+    key = src.astype(np.int64) * span
+    key += dst
     order = np.lexsort((times, key))
     k_sorted = key[order]
+    del key
     first = np.ones(len(k_sorted), dtype=bool)
     first[1:] = k_sorted[1:] != k_sorted[:-1]
-    counts = np.diff(np.append(np.flatnonzero(first), len(k_sorted)))
-    pair, first_times = k_sorted[first], times[order][first]
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, len(k_sorted)))
+    pair, first_times = k_sorted[starts], times[order[starts]]
+    del k_sorted, order
     srcs, dsts = pair // span, pair % span
     by_time = np.lexsort((dsts, srcs, first_times))
     columns = (first_times[by_time], srcs[by_time], dsts[by_time], counts[by_time])

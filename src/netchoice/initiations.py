@@ -31,7 +31,7 @@ class InitiationType(str, Enum):
     INTRA_COMPONENT = "intra_component"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Initiation:
     """First directed edge for an ordered author pair.
 

@@ -5,6 +5,7 @@ BFS recomputation, quadratic projection) so the fast implementations are
 checked against an independent path, not against themselves.
 """
 
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -131,3 +132,15 @@ def random_edge_stream(rng, n_nodes=30, n_edges=120, t_max=300, unique_times=Fal
             dst = int(rng.integers(n_nodes))
         edges.append((src, dst, int(times[i])))
     return edges
+
+
+def traced_peak(call):
+    """``call()``'s result and the most bytes it held at once, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak

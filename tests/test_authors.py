@@ -335,6 +335,13 @@ class TestAuthorDirectory:
             directory_from([UpdateEvent("a", "s", "u1", 3, "P"), UpdateEvent("a", "s", "u2", 4, "patient")])
         assert (err.value.line, err.value.field) == (1, "role_label")
 
+    def test_record_timestamps_pass_the_loaders_checks(self):
+        assert directory_from([UpdateEvent("a", "s", "u1", "7", "P")]).first_update_time("a") == 7
+        for bad in (None, 1.5, True, "abc", 2**63, -1):
+            with pytest.raises(SchemaError) as err:
+                directory_from([UpdateEvent("a", "s", "u1", 3, "P"), UpdateEvent("b", "s", "u2", bad, "CG")])
+            assert (err.value.line, err.value.field) == (1, "timestamp"), bad
+
 
 class TestSideFiles:
     def test_geo_post_timestamp_not_an_integer(self, tmp_path):

@@ -271,6 +271,13 @@ class TestExitCodes:
                     "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
         assert "line 2, field 'timestamp'" in capsys.readouterr().err
 
+    def test_byte_not_utf8_is_1(self, world, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"actor_id,site_id,kind,timestamp,update_id\na,s1,guestbook,1,\nb,s\xff,guestbook,2,\n")
+        assert run(["ingest", "--interactions", str(bad), "--updates", world["updates"],
+                    "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert "line 3, field 'site_id'" in capsys.readouterr().err
+
     def test_geo_post_timestamp_not_an_integer_is_1(self, world, tmp_path, capsys):
         geo = tmp_path / "geo.csv"
         geo.write_text("author_id,timestamp,state\na,abc,MN\n")

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import interaction_multiset, make_logs, project_oracle, random_event_fixture
+from conftest import interaction_multiset, make_logs, project_oracle, random_event_fixture, traced_peak
 
+from netchoice import events
 from netchoice.events import (
     DirectedInteraction,
     DirectedInteractionLog,
@@ -669,3 +670,131 @@ class TestFuzzRows:
                 assert exc.line is not None, exc
 
         check()
+
+
+# Projection in bounded chunks. The chunk size is patched small, so these
+# logs cross several cuts; TestProjectionRowOrder's logs run chunked too.
+
+
+class TestChunkedProjection(TestProjectionRowOrder):
+    @pytest.fixture(autouse=True)
+    def spans(self, monkeypatch):
+        """Chunks of fan-out 4; returns the rank range of every chunk projected."""
+        monkeypatch.setattr(events, "_PROJECT_CHUNK", 4)
+        spans = []
+        project_chunk = events._project_chunk
+
+        def spy(lo, hi, *args):
+            spans.append((lo, hi))
+            return project_chunk(lo, hi, *args)
+
+        monkeypatch.setattr(events, "_project_chunk", spy)
+        return spans
+
+    # s1 has x, y before t=5; s2 has x, z; s3 has y, z, w, and m as a patient.
+    UPDATES = [
+        UpdateEvent("x", "s1", "u1", 1, "CG"),
+        UpdateEvent("y", "s1", "u2", 2, "CG"),
+        UpdateEvent("x", "s2", "u3", 1, "CG"),
+        UpdateEvent("z", "s2", "u4", 3, "CG"),
+        UpdateEvent("y", "s3", "u5", 1, "CG"),
+        UpdateEvent("z", "s3", "u6", 2, "CG"),
+        UpdateEvent("w", "s3", "u7", 50, "P"),
+        UpdateEvent("m", "s3", "u8", 60, "P"),
+    ]
+
+    def test_group_straddling_a_cut_moves_to_the_next_chunk(self, spans):
+        # Fan-out 2 + (2 + 2): a cut after 4 rows would split m's group at
+        # t=10, whose rows interleave by target (x, x, y, z).
+        event_log, update_log = make_logs(
+            [
+                InteractionEvent("k", "s1", "guestbook", 5),
+                InteractionEvent("m", "s1", "guestbook", 10),
+                InteractionEvent("m", "s2", "guestbook", 10),
+            ],
+            self.UPDATES,
+        )
+        self.assert_rows(event_log, update_log)
+        assert spans == [(0, 1), (1, 3)]
+
+    def test_group_larger_than_a_chunk_is_one_chunk(self, spans):
+        # m's group at t=10 has fan-out 2 + 2 + 3 (w by the patient rule; m
+        # itself dropped), more than one chunk.
+        event_log, update_log = make_logs(
+            [
+                InteractionEvent("k", "s1", "guestbook", 5),
+                InteractionEvent("m", "s1", "guestbook", 10),
+                InteractionEvent("m", "s2", "guestbook", 10),
+                InteractionEvent("m", "s3", "guestbook", 10),
+                InteractionEvent("k", "s2", "guestbook", 20),
+            ],
+            self.UPDATES,
+        )
+        self.assert_rows(event_log, update_log)
+        assert spans == [(0, 1), (1, 4), (4, 5)]
+
+    def test_empty_log(self, spans):
+        self.assert_rows(*make_logs([], self.UPDATES))
+        self.assert_rows(*make_logs([], []))
+        assert spans == []
+
+
+def heavy_tailed_logs(rng, n_authors=3000, n_sites=40, n_events=400):
+    """Columnar logs whose site sizes fall off as 1/rank, built without records."""
+    vocab = LogVocab()
+    for i in range(n_authors):
+        vocab.authors.code(f"a{i}")
+    for i in range(n_sites):
+        vocab.sites.code(f"s{i}")
+    sizes = n_authors // (2 * np.arange(1, n_sites + 1))
+    u_site = np.repeat(np.arange(n_sites, dtype=np.int32), sizes)
+    u_author = np.concatenate([rng.choice(n_authors, size, replace=False) for size in sizes]).astype(np.int32)
+    for i in range(len(u_site)):
+        vocab.updates.code(f"u{i}")
+    update_log = UpdateLog(
+        vocab, u_author, u_site, np.arange(len(u_site), dtype=np.int32),
+        rng.integers(0, 1000, len(u_site)), rng.integers(0, 3, len(u_site)).astype(np.int8),
+    )
+    event_log = EventLog(
+        vocab, rng.integers(0, n_authors, n_events).astype(np.int32),
+        rng.choice(n_sites, n_events, p=sizes / sizes.sum()).astype(np.int32), np.zeros(n_events, dtype=np.int8),
+        rng.integers(500, 2000, n_events), np.full(n_events, -1, dtype=np.int32),
+    )
+    return event_log, update_log
+
+
+def test_projection_peak_is_bounded_by_its_output(monkeypatch):
+    # Unchunked, the expansion's temporaries reach over 4x the output.
+    monkeypatch.setattr(events, "_PROJECT_CHUNK", 1 << 10)
+    event_log, update_log = heavy_tailed_logs(np.random.default_rng(0))
+    out, peak = traced_peak(lambda: project_to_author_edges(event_log, update_log))
+    assert len(out) > 100 * events._PROJECT_CHUNK
+    out_bytes = sum(c.nbytes for c in (out.src, out.dst, out.timestamp, out.kind, out.site))
+    assert peak <= 3 * out_bytes, f"peak {peak} bytes for {out_bytes} bytes of output"
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 is a SchemaError naming its line and field."""
+
+    def test_csv(self, tmp_path):
+        path = tmp_path / "ev.csv"
+        path.write_bytes(HEADER.encode() + b"a,s1,guestbook,1,\nb,s\xff,guestbook,2,\n")
+        assert_schema_error(lambda: load_events(path), 3, "site_id")
+
+    def test_json_lines(self, tmp_path):
+        path = tmp_path / "up.jsonl"
+        path.write_bytes(b'{"author_id": "a", "site_id": "s\xff", "update_id": "u1", "timestamp": 1}\n')
+        assert_schema_error(lambda: load_updates(path, "json-lines"), 1, "site_id")
+
+    def test_line_past_the_first_read_buffer(self, tmp_path):
+        path = tmp_path / "ev.csv"
+        path.write_bytes(HEADER.encode() + b"a,s1,guestbook,1,\n" * 20_000 + b"b,s1,guestbook,2,\xff\n")
+        assert_schema_error(lambda: load_events(path), 20_002, "update_id")
+
+    def test_header_or_unparsable_line_names_no_field(self, tmp_path):
+        path = tmp_path / "ev.csv"
+        path.write_bytes(b"actor_id,site_\xffid,kind,timestamp,update_id\n")
+        assert_schema_error(lambda: load_events(path), 1, None)
+        path = tmp_path / "ev.jsonl"
+        path.write_bytes(b'{"actor_id": "a"}\n{"\xff": 1\n')
+        assert_schema_error(lambda: load_events(path, "json-lines"), 2, None)

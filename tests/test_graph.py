@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bfs_components, component_of, random_edge_stream
+from conftest import bfs_components, component_of, random_edge_stream, traced_peak
 
 from netchoice.events import DirectedInteraction, DirectedInteractionLog, LogVocab
 from netchoice.graph import (
@@ -490,3 +490,21 @@ class TestSeriesAgainstReplay:
         assert list(largest_wcc_share_series(g)) == [(5, 2, 2, 1.0), (top, 3, 3, 1.0)]
         assert g.activated_count() == 3
         assert g.largest_wcc_share() == 1.0
+
+
+def test_build_peak_per_input_row():
+    # 200k interactions over 1,600 pairs: the first-edge reduction's
+    # temporaries, not its output, set the peak. Widening the int32 code
+    # columns to int64 copies took it to about 50 bytes per row.
+    rng = np.random.default_rng(1)
+    n = 200_000
+    vocab = LogVocab()
+    for i in range(80):
+        vocab.authors.code(f"a{i}")
+    log = DirectedInteractionLog(
+        vocab, rng.integers(0, 40, n).astype(np.int32), rng.integers(40, 80, n).astype(np.int32),
+        rng.integers(0, 10**6, n), np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int32),
+    )
+    g, peak = traced_peak(lambda: build(log))
+    assert g.n_edges == 1600
+    assert peak <= 32 * n, f"{peak / n:.1f} bytes per input row"
