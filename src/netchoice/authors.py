@@ -15,12 +15,13 @@ author's sites in creation order, taking the first informative category.
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .events import ROLE_P, SchemaError, UpdateLog, _fields, _parse_int, _role_code
+from .events import SchemaError, UpdateLog, _parse_int, _site_authors
 
 SECONDS_PER_DAY = 86_400.0
 DAYS_PER_MONTH = 30.44
@@ -181,108 +182,116 @@ class AuthorRecord:
     first_update_time: int | None
 
 
-def _record_updates(updates):
-    """(author, site, timestamp, role code) of UpdateEvent records, whose
-    timestamps and labels pass the file loaders' checks (record ``i`` is line ``i``)."""
-    for i, u in enumerate(updates):
-        (t,) = _fields((u.timestamp,), i, ("timestamp",))
-        yield u.author_id, u.site_id, _parse_int(t, i, "timestamp"), _role_code(u.role_label, i)
-
-
 class AuthorDirectory:
     """Per-author aggregates derived from the update log.
 
     Keys match the representation the directory was built from: integer
     author codes for an UpdateLog (sharing its vocabulary with the rest of
-    the pipeline), raw string ids for a list of UpdateEvent records.
+    the pipeline), string ids for a list of UpdateEvent records. Records go
+    through :meth:`UpdateLog.from_records`, so they pass the loaders' checks
+    and their ids become their ``str``.
 
     ``site_conditions`` maps site id (same key space) to a self-reported
     health-condition category; ``site_created`` optionally supplies site
     creation times, defaulting to the author's first update per site.
     Roles are full-history aggregates: they do not vary with the query time.
+    Every aggregate is computed once from the log's (site, author) table; a
+    lookup maps the key to the author's row and reads that row.
     """
 
     def __init__(self, updates, site_conditions=None, site_created=None, geo_posts=None):
-        self._upd_times: dict = {}
-        self._site_first: dict = {}       # author -> {site: first update time}
-        self._labeled: dict = {}          # author -> [n_labeled, n_patient]
-        self._site_labeled: dict = {}     # (author, site) -> [n_labeled, n_patient]
-        self._site_author_first: dict = {}  # site -> {author: first update time}
-        self.vocab = None
-
         if isinstance(updates, UpdateLog):
-            self.vocab = updates.vocab
-            rows = zip(
-                updates.author.tolist(),
-                updates.site.tolist(),
-                updates.timestamp.tolist(),
-                updates.role.tolist(),
-            )
+            log, self.vocab = updates, updates.vocab
         else:
-            rows = _record_updates(updates)
+            log, self.vocab = UpdateLog.from_records(updates), None
 
-        times: dict = {}
-        for author, site, t, role in rows:
-            times.setdefault(author, []).append(t)
-            sites = self._site_first.setdefault(author, {})
-            if site not in sites or t < sites[site]:
-                sites[site] = t
-            site_authors = self._site_author_first.setdefault(site, {})
-            if author not in site_authors or t < site_authors[author]:
-                site_authors[author] = t
-            if role != 0:
-                tally = self._labeled.setdefault(author, [0, 0])
-                tally[0] += 1
-                tally[1] += role == ROLE_P
-                site_tally = self._site_labeled.setdefault((author, site), [0, 0])
-                site_tally[0] += 1
-                site_tally[1] += role == ROLE_P
+        # An author's row is its place in the order of first appearance.
+        codes = log.author[np.sort(np.unique(log.author, return_index=True)[1])]
+        n = len(codes)
+        row_of = np.zeros(len(log.vocab.authors), dtype=np.int64)
+        row_of[codes] = np.arange(n)
+        keys = self._keys(codes, log.vocab.authors)
+        self._row = dict(zip(keys, range(n)))
 
-        for author, ts in times.items():
-            ts.sort()
-            self._upd_times[author] = ts
-        by_first = sorted((ts[0], author) for author, ts in self._upd_times.items())
-        self._first_times_sorted = np.array([t for t, _ in by_first], dtype=np.int64)
-        self._authors_by_first = [a for _, a in by_first]
-        self._first_times = {a: t for t, a in by_first}
-        self._second_author_time: dict = {}
-        for site, byauthor in self._site_author_first.items():
-            firsts = sorted(byauthor.values())
-            self._second_author_time[site] = firsts[1] if len(firsts) > 1 else None
+        # Row r's update times, sorted, are _times[_time_bounds[r]:_time_bounds[r + 1]].
+        upd_row = row_of[log.author]
+        times = log.timestamp[np.lexsort((log.timestamp, upd_row))]
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(upd_row, minlength=n))))
+        self._times = times.tolist()
+        self._time_bounds = bounds.tolist()
+        self._first_times = {a: t for t, a in sorted(zip(times[bounds[:-1]].tolist(), keys))}
 
-        self._site_conditions = self._translate_site_keys(site_conditions)
-        self._site_created = self._translate_site_keys(site_created)
-        self._conditions: dict = {}  # author -> health condition, filled on demand
+        # Row r's sites by first update time, with those times, are
+        # _sites/_site_firsts[_site_bounds[r]:_site_bounds[r + 1]].
+        site, author, site_first, labeled, patient = _site_authors(log)
+        row = row_of[author]
+        by_author = np.lexsort((site_first, row))
+        lo = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n))))
+        self._site_bounds = lo.tolist()
+        lo = lo[:-1]
+        self._sites = self._keys(site[by_author], log.vocab.sites)
+        self._site_firsts = site_first[by_author].tolist()
+
+        n_labeled = np.add.reduceat(labeled[by_author], lo)
+        n_patient = np.add.reduceat(patient[by_author], lo)
+        role = np.select([n_labeled == 0, 3 * n_patient < n_labeled, 3 * n_patient <= 2 * n_labeled], [0, 1, 2], 3)
+        self._roles = np.array([None, ROLE_CAREGIVER, ROLE_MIXED, ROLE_PATIENT], dtype=object)[role].tolist()
+        fraction = patient / np.maximum(labeled, 1)
+        in_band = (labeled > 0) & (fraction >= 1.0 / 3.0) & (fraction <= 2.0 / 3.0)  # as shared_account
+        self._shared = (np.bincount(row[in_band], minlength=n) > 0).tolist()
+
+        # is_mixedsite at t is mixed_from < t: the least, over the author's
+        # sites, of the later of its own and the site's second author's first
+        # times there. A site's block of the table is ordered by first time,
+        # so its second row is its second author.
+        block = np.searchsorted(site, site)
+        has_second = np.searchsorted(site, site, side="right") - block >= 2
+        second = site_first[np.minimum(block + 1, len(site) - 1)]
+        mixed_at = np.where(has_second, np.maximum(site_first, second), np.iinfo(np.int64).max)
+        mixed_from = np.minimum.reduceat(mixed_at[by_author], lo).astype(object)
+        mixed_from[np.bincount(row[has_second], minlength=n) == 0] = math.inf
+        self._mixed_from = mixed_from.tolist()
+
+        self._conditions = [None] * n
+        conditions = self._site_codes(log, site_conditions)
+        conditions = {s: c for s, c in conditions.items() if c is not None and c != CONDITION_UNKNOWN}
+        if conditions:
+            self._assign_conditions(log, conditions, self._site_codes(log, site_created), site, row, site_first)
         self._states: dict = {}
         if geo_posts:
             self._assign_states(geo_posts)
 
-        per_author_fractions: dict = {}
-        for (author, _), (n, k) in self._site_labeled.items():
-            if n > 0:
-                per_author_fractions.setdefault(author, []).append(k / n)
-        self._roles: dict = {}
-        self._shared: dict = {}
-        for author in self._upd_times:
-            tally = self._labeled.get(author)
-            if tally is None:
-                self._roles[author] = None
-            else:
-                n, k = tally
-                self._roles[author] = ROLE_CAREGIVER if 3 * k < n else ROLE_MIXED if 3 * k <= 2 * n else ROLE_PATIENT
-            self._shared[author] = shared_account(per_author_fractions.get(author, ()))
+    def _keys(self, codes, ids) -> list:
+        """The directory's keys of ``codes``: the codes of a log, the ids of records."""
+        return codes.tolist() if self.vocab is not None else list(map(ids.id, codes.tolist()))
 
-    def _translate_site_keys(self, mapping) -> dict:
-        if not mapping:
-            return {}
-        if self.vocab is None:
-            return dict(mapping)
+    def _site_codes(self, log, mapping) -> dict:
+        """``mapping`` keyed by the log's site codes. A log directory takes
+        site labels or codes as keys, a record directory labels."""
         out = {}
-        for site, value in mapping.items():
-            key = self.vocab.sites.get(site) if isinstance(site, str) else site
-            if key is not None:
-                out[key] = value
+        for site, value in (mapping or {}).items():
+            code = site if self.vocab is not None and not isinstance(site, str) else log.vocab.sites.get(site)
+            if code is not None and 0 <= code < len(log.vocab.sites):
+                out[code] = value
         return out
+
+    def _assign_conditions(self, log, conditions, created, site, row, site_first) -> None:
+        """Each author's first informative condition over its sites ordered
+        by (creation time, ``str`` of the site key); ``conditions`` holds the
+        informative ones only."""
+        by_text = sorted(conditions, key=str if self.vocab is not None else log.vocab.sites.id)
+        rank = np.full(len(log.vocab.sites), -1, dtype=np.int64)
+        rank[by_text] = np.arange(len(by_text))
+        keep = rank[site] >= 0
+        site, row, when = site[keep], row[keep], site_first[keep]
+        if created:
+            when = np.array([created.get(s, t) for s, t in zip(site.tolist(), when.tolist())], dtype=np.int64)
+        order = np.lexsort((rank[site], when, row))
+        site, row = site[order], row[order]
+        head = np.ones(len(row), dtype=bool)
+        head[1:] = row[1:] != row[:-1]
+        for r, s in zip(row[head].tolist(), site[head].tolist()):
+            self._conditions[r] = conditions[s]
 
     def _assign_states(self, geo_posts) -> None:
         per_author: dict = {}
@@ -305,53 +314,43 @@ class AuthorDirectory:
     # -- lookups -------------------------------------------------------------
 
     def authors(self):
-        return self._upd_times.keys()
+        return self._row.keys()
 
     def __contains__(self, author) -> bool:
-        return author in self._upd_times
+        return author in self._row
 
     def role(self, author) -> str | None:
-        return self._roles.get(author)
+        row = self._row.get(author)
+        return None if row is None else self._roles[row]
 
     def is_shared_account(self, author) -> bool:
-        return self._shared.get(author, False)
+        row = self._row.get(author)
+        return row is not None and self._shared[row]
 
     def state(self, author) -> str | None:
         return self._states.get(author)
 
     def first_update_time(self, author) -> int | None:
-        ts = self._upd_times.get(author)
-        return ts[0] if ts else None
+        row = self._row.get(author)
+        return None if row is None else self._times[self._time_bounds[row]]
 
     def first_update_times(self) -> dict:
-        """author -> first update time, e.g. for graph activation merging."""
+        """author -> first update time, ordered by (time, author), e.g. for
+        graph activation merging."""
         return self._first_times
 
-    def authors_first_update_before(self, t) -> list:
-        """Authors whose first update is strictly before ``t``."""
-        k = int(np.searchsorted(self._first_times_sorted, t, side="left"))
-        return self._authors_by_first[:k]
-
     def sites_of(self, author) -> tuple:
-        sites = self._site_first.get(author)
-        if not sites:
+        row = self._row.get(author)
+        if row is None:
             return ()
-        return tuple(s for s, _ in sorted(sites.items(), key=lambda kv: (kv[1], str(kv[0]))))
+        lo, hi = self._site_bounds[row], self._site_bounds[row + 1]
+        sites = self._sites[lo:hi]
+        return tuple(s for _, _, s in sorted(zip(self._site_firsts[lo:hi], map(str, sites), sites)))
 
     def health_condition(self, author) -> str | None:
-        """First informative condition over the author's sites by creation time, cached per author."""
-        if author not in self._conditions:
-            self._conditions[author] = self._assign_condition(author)
-        return self._conditions[author]
-
-    def _assign_condition(self, author) -> str | None:
-        sites = self._site_first.get(author)
-        if not sites:
-            return None
-        def creation_time(site):
-            return self._site_created.get(site, sites[site])
-        ordered = sorted(sites, key=lambda s: (creation_time(s), str(s)))
-        return assign_health_condition(self._site_conditions.get(s) for s in ordered)
+        """First informative condition over the author's sites by creation time."""
+        row = self._row.get(author)
+        return None if row is None else self._conditions[row]
 
     def shared_condition(self, a, b) -> int:
         return shared_health_condition(self.health_condition(a), self.health_condition(b))
@@ -377,31 +376,25 @@ class AuthorDirectory:
         Tenure is clamped to one day so same-day queries stay finite; update
         frequency is updates per 30.44-day month.
         """
-        ts = self._upd_times.get(author)
-        if not ts:
+        row = self._row.get(author)
+        if row is None:
             return _ZERO_ACTIVITY
-        count = bisect_left(ts, t)
+        lo = self._time_bounds[row]
+        count = bisect_left(self._times, t, lo, self._time_bounds[row + 1]) - lo
         if count == 0:
             return _ZERO_ACTIVITY
-        first = ts[0]
-        latest = ts[count - 1]
+        first = self._times[lo]
+        latest = self._times[lo + count - 1]
         tenure_seconds = max(t - first, SECONDS_PER_DAY)
         tenure_months = tenure_seconds / (SECONDS_PER_DAY * DAYS_PER_MONTH)
-        n_sites = 0
-        mixed = False
-        for site, first_on_site in self._site_first[author].items():
-            if first_on_site < t:
-                n_sites += 1
-                if not mixed:
-                    second = self._second_author_time.get(site)
-                    mixed = second is not None and second < t
+        second_site = self._site_bounds[row] + 1  # sites are in first-update order
         return ActivityFeatures(
             update_count=count,
             update_frequency=count / tenure_months,
             days_since_most_recent_update=(t - latest) / SECONDS_PER_DAY,
             days_since_first_update=(t - first) / SECONDS_PER_DAY,
-            is_multisite=n_sites >= 2,
-            is_mixedsite=mixed,
+            is_multisite=second_site < self._site_bounds[row + 1] and self._site_firsts[second_site] < t,
+            is_mixedsite=self._mixed_from[row] < t,
         )
 
     # -- export ----------------------------------------------------------------
@@ -418,7 +411,7 @@ class AuthorDirectory:
                 fh.write(f"# {header_comment}\n")
             writer = csv.writer(fh)
             writer.writerow(["author_id", "role", "is_shared", "health_condition", "state", "first_update_time"])
-            for author in sorted(self._upd_times, key=lambda a: str(self._label(a))):
+            for author in sorted(self._row, key=lambda a: str(self._label(a))):
                 rec = self.record(author)
                 writer.writerow(
                     [

@@ -109,7 +109,7 @@ def eligible_candidates(graph: TemporalGraph, directory: AuthorDirectory | None,
     graph.advance_to(t)
     candidates = set(graph.nodes_activated_before(t))
     if directory is not None:
-        candidates.update(directory.authors_first_update_before(t))
+        candidates.update(a for a, first in directory.first_update_times().items() if first < t)
     candidates.discard(chooser)
     candidates -= graph.out_neighbors(chooser)
     return candidates

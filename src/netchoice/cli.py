@@ -480,12 +480,16 @@ def _cmd_fit_mnl(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _dict_reader(fh) -> csv.DictReader:
+    """A ``csv.DictReader`` over ``fh`` that skips a leading ``#`` line."""
+    if not fh.readline().startswith("#"):
+        fh.seek(0)
+    return csv.DictReader(fh)
+
+
 def _read_columns(path) -> dict:
     with open(path, newline="") as fh:
-        first = fh.readline()
-        if not first.startswith("#"):
-            fh.seek(0)
-        reader = csv.DictReader(fh)
+        reader = _dict_reader(fh)
         columns: dict[str, list] = {name: [] for name in (reader.fieldnames or [])}
         for row in reader:
             for name in columns:
@@ -547,10 +551,7 @@ def _cmd_fit_ols(cfg: RunConfig, args) -> int:
 def _cmd_bbse(cfg: RunConfig, args) -> int:
     predictions, labels = [], []
     with open(args.holdout, newline="") as fh:
-        first = fh.readline()
-        if not first.startswith("#"):
-            fh.seek(0)
-        reader = csv.DictReader(fh)
+        reader = _dict_reader(fh)
         if reader.fieldnames is None or set(reader.fieldnames) != {"prediction", "label"}:
             raise ValueError(f"expected columns prediction,label in {args.holdout}")
         for row in reader:
@@ -571,10 +572,7 @@ def _cmd_bbse(cfg: RunConfig, args) -> int:
 def _cmd_kappa(cfg: RunConfig, args) -> int:
     a, b = [], []
     with open(args.labels, newline="") as fh:
-        first = fh.readline()
-        if not first.startswith("#"):
-            fh.seek(0)
-        reader = csv.DictReader(fh)
+        reader = _dict_reader(fh)
         if reader.fieldnames is None or set(reader.fieldnames) != {"rater_a", "rater_b"}:
             raise ValueError(f"expected columns rater_a,rater_b in {args.labels}")
         for row in reader:
@@ -669,11 +667,7 @@ def _cmd_report(cfg: RunConfig, args) -> int:
 def _read_author_states(path) -> dict:
     states: dict[str, str] = {}
     with open(path, newline="") as fh:
-        first = fh.readline()
-        if not first.startswith("#"):
-            fh.seek(0)
-        reader = csv.DictReader(fh)
-        for row in reader:
+        for row in _dict_reader(fh):
             if row.get("state"):
                 states[row["author_id"]] = row["state"]
     return states

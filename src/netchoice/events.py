@@ -611,6 +611,28 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
+def _site_authors(updates: UpdateLog) -> tuple[np.ndarray, ...]:
+    """One row per (site, author) pair with updates, ordered by (site, first
+    update time, author): columns (site, author, first update time, labeled
+    count, patient-labeled count)."""
+    n_authors = np.int64(max(len(updates.vocab.authors), 1))
+    key = updates.site.astype(np.int64) * n_authors + updates.author
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new_pair = np.ones(len(key), dtype=bool)
+    new_pair[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(new_pair)
+    role = updates.role[order]
+    labeled = np.add.reduceat((role != ROLE_UNLABELED).astype(np.int64), starts)
+    patient = np.add.reduceat((role == ROLE_P).astype(np.int64), starts)
+    key = key[starts]
+    first = np.minimum.reduceat(updates.timestamp[order], starts)
+    by_site = np.lexsort((first, key // n_authors))  # stable: ties stay in author order
+    key = key[by_site]
+    site, author = (key // n_authors).astype(np.int32), (key % n_authors).astype(np.int32)
+    return site, author, first[by_site], labeled[by_site], patient[by_site]
+
+
 def filter_self_interactions(events: EventLog, updates: UpdateLog) -> tuple[EventLog, int]:
     """Drop events whose actor has published any update on the event's site.
 
@@ -676,20 +698,8 @@ def project_to_author_edges(events: EventLog, updates: UpdateLog) -> DirectedInt
     vocab = events.vocab
     n_authors = np.int64(max(len(vocab.authors), 1))
 
-    # First update time per (site, author).
-    sa_key = updates.site.astype(np.int64) * n_authors + updates.author
-    order = np.lexsort((updates.timestamp, sa_key))
-    k_sorted = sa_key[order]
-    t_sorted = updates.timestamp[order]
-    first = np.ones(len(k_sorted), dtype=bool)
-    first[1:] = k_sorted[1:] != k_sorted[:-1]
-    sa_key = k_sorted[first]
-    sa_first_t = t_sorted[first]
-    # Per-site blocks ordered by first update time.
-    order2 = np.lexsort((sa_first_t, sa_key // n_authors))
-    site_of = sa_key[order2] // n_authors
-    author_of = (sa_key[order2] % n_authors).astype(np.int32)
-    sa_first_t = sa_first_t[order2]
+    # Per-site blocks of (author, first update time), ordered by that time.
+    site_of, author_of, sa_first_t, _, patient = _site_authors(updates)
 
     # Events ranked by (timestamp, actor), ties in event order; every
     # per-event array below is indexed by rank.
@@ -703,12 +713,9 @@ def project_to_author_edges(events: EventLog, updates: UpdateLog) -> DirectedInt
     block_start = np.searchsorted(site_of, site_codes)[evt_site]
     prior_count = _prior_counts(evt_site, evt_time, site_of, sa_first_t)
 
-    # Patient-labeled authors per site (any time), unique (site, author).
-    p_rows = updates.role == ROLE_P
-    p_keys = _sorted_unique(updates.site[p_rows].astype(np.int64) * n_authors + updates.author[p_rows])
-    p_site = (p_keys // n_authors).astype(np.int64)
-    p_author = (p_keys % n_authors).astype(np.int32)
-    p_bounds = np.searchsorted(p_site, site_codes)
+    # Patient-labeled authors per site (any time); chunks order targets themselves.
+    p_author = author_of[patient > 0]
+    p_bounds = np.searchsorted(site_of[patient > 0], site_codes)
     p_start = p_bounds[evt_site]
     p_count = p_bounds[evt_site + 1] - p_start
 

@@ -22,7 +22,7 @@ from netchoice.authors import (
     shared_account,
     shared_health_condition,
 )
-from netchoice.events import SchemaError, UpdateEvent
+from netchoice.events import LogVocab, SchemaError, UpdateEvent, UpdateLog
 
 DAY = int(SECONDS_PER_DAY)
 
@@ -281,7 +281,9 @@ class TestAuthorDirectory:
                 )
             )
         d = directory_from(updates)
-        for probe in (10 * DAY, 40 * DAY + 1, 90 * DAY):
+        # Every update time and the second after it pin the strict cursor.
+        probes = {10 * DAY, 40 * DAY + 1, 90 * DAY} | {u.timestamp + dt for u in updates for dt in (0, 1)}
+        for probe in sorted(probes):
             for author in {u.author_id for u in updates}:
                 mine = [u for u in updates if u.author_id == author and u.timestamp < probe]
                 feats = d.activity_features(author, probe)
@@ -341,6 +343,87 @@ class TestAuthorDirectory:
             with pytest.raises(SchemaError) as err:
                 directory_from([UpdateEvent("a", "s", "u1", 3, "P"), UpdateEvent("b", "s", "u2", bad, "CG")])
             assert (err.value.line, err.value.field) == (1, "timestamp"), bad
+
+    def test_ties_break_on_str_of_the_key(self):
+        # "s10" sorts before "s9", and code 10 before code 9 as a str.
+        updates = [UpdateEvent("b", "s9", "u1", 5, "P"), UpdateEvent("b", "s10", "u2", 5, "P")]
+        updates.append(UpdateEvent("a", "s9", "u3", 5, "CG"))
+        conditions = {"s9": "Injury", "s10": "Cancer"}
+        d = directory_from(updates, site_conditions=conditions, site_created={"s9": 1, "s10": 1})
+        assert d.sites_of("b") == ("s10", "s9")
+        assert d.health_condition("b") == "Cancer"
+        assert list(d.first_update_times()) == ["a", "b"]
+        vocab = LogVocab()
+        for j in range(11):
+            vocab.sites.code(f"s{j}")
+        d = AuthorDirectory(UpdateLog.from_records(updates, vocab=vocab), site_conditions=conditions)
+        b = vocab.authors.get("b")
+        assert d.sites_of(b) == (10, 9)
+        assert d.health_condition(b) == "Cancer"
+        assert list(d.first_update_times()) == [0, 1]
+
+    @pytest.mark.parametrize(
+        "bad, line, field",
+        [
+            ([UpdateEvent(None, "s", "u1", 3, "P")], 0, "author_id"),
+            ([UpdateEvent("a", "", "u1", 3, "P")], 0, "site_id"),
+            ([UpdateEvent("a", "s", None, 3, "P")], 0, "update_id"),
+            ([UpdateEvent("a", "s", "u1", 3, "P"), UpdateEvent("b", "s", "u1", 4, "CG")], 1, "update_id"),
+        ],
+    )
+    def test_records_are_checked_by_from_records(self, bad, line, field):
+        for build in (directory_from, UpdateLog.from_records):
+            with pytest.raises(SchemaError) as err:
+                build(bad)
+            assert (err.value.line, err.value.field) == (line, field), build
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_records_agree_with_their_update_log(self, seed, tmp_path):
+        # Single-digit labels, interned as their own codes, so ties that break
+        # on a key or on str(site key) break the same way on both sides.
+        rng = np.random.default_rng(seed)
+        updates = [
+            UpdateEvent(
+                str(rng.integers(8)),
+                str(rng.integers(6)),
+                f"u{i}",
+                int(rng.integers(0, 12)) * DAY + int(rng.integers(0, 2)),
+                str(rng.choice(["P", "CG", "unlabeled"])),
+            )
+            for i in range(int(rng.integers(1, 60)))
+        ]
+        conditions = {"0": "Cancer", "1": None, "2": "Condition Unknown", "3": "Injury", "4": "Cancer"}
+        created = {"1": 0, "3": 5 * DAY, "4": 5 * DAY}
+        geo = [GeoPost(str(a), 0, "MN" if a < 4 else None) for a in range(8) for _ in range(10)]
+        vocab = LogVocab()
+        for j in range(10):
+            vocab.authors.code(str(j))
+            vocab.sites.code(str(j))
+        log = UpdateLog.from_records(updates, vocab=vocab)
+        kwargs = dict(site_conditions=conditions, site_created=created, geo_posts=geo)
+        by_label, by_code = AuthorDirectory(updates, **kwargs), AuthorDirectory(log, **kwargs)
+        code = vocab.authors.get
+        assert [code(a) for a in by_label.authors()] == list(by_code.authors())
+        assert [(code(a), t) for a, t in by_label.first_update_times().items()] == list(
+            by_code.first_update_times().items()
+        )
+        labels = [str(a) for a in range(9)]  # "8" has no updates
+        for a in labels:
+            assert (a in by_label) == (code(a) in by_code)
+            want = by_code.record(code(a))
+            got = by_label.record(a)
+            assert got.site_ids == tuple(vocab.sites.id(s) for s in want.site_ids)
+            assert (got.role, got.is_shared_account, got.health_condition, got.state, got.first_update_time) == (
+                want.role, want.is_shared_account, want.health_condition, want.state, want.first_update_time
+            )
+            for b in labels:
+                assert by_label.shared_condition(a, b) == by_code.shared_condition(code(a), code(b))
+                assert by_label.shared_state(a, b) == by_code.shared_state(code(a), code(b))
+            for t in sorted({u.timestamp + dt for u in updates for dt in (0, 1)}):
+                assert by_label.activity_features(a, t) == by_code.activity_features(code(a), t), (a, t)
+        by_label.to_csv(tmp_path / "records.csv")
+        by_code.to_csv(tmp_path / "log.csv")
+        assert (tmp_path / "records.csv").read_bytes() == (tmp_path / "log.csv").read_bytes()
 
 
 class TestSideFiles:

@@ -18,6 +18,7 @@ from netchoice.events import (
     UnresolvedAmpError,
     UpdateEvent,
     UpdateLog,
+    _site_authors,
     _sorted_unique,
     filter_self_interactions,
     load_events,
@@ -354,6 +355,37 @@ def test_sorted_unique_matches_np_unique(values):
     got, want = _sorted_unique(keys), np.unique(keys)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+def site_authors_oracle(log):
+    """(site, author, first time, labeled, patient) rows from a dict, in
+    (site, first time, author) order."""
+    table = {}
+    for s, a, t, r in zip(log.site.tolist(), log.author.tolist(), log.timestamp.tolist(), log.role.tolist()):
+        first, labeled, patient = table.get((s, a), (t, 0, 0))
+        table[s, a] = (min(first, t), labeled + (r != 0), patient + (r == 1))
+    return sorted(((s, a, *agg) for (s, a), agg in table.items()), key=lambda row: (row[0], row[2], row[1]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_site_authors_matches_dict_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n = [0, 1, 5, 40, 200, 600][seed]
+    day = 86_400
+    updates = [
+        UpdateEvent(
+            f"a{rng.integers(8)}",
+            f"s{rng.integers(5)}",
+            f"u{i}",
+            int(rng.integers(0, 6)) * day,  # whole days: many equal times
+            str(rng.choice(["P", "CG", "unlabeled"])),
+        )
+        for i in range(n)
+    ]
+    log = UpdateLog.from_records(updates)
+    columns = _site_authors(log)
+    assert len(columns) == 5 and all(len(col) == len(columns[0]) for col in columns)
+    assert list(zip(*(col.tolist() for col in columns))) == site_authors_oracle(log)
 
 
 def projection_rows_reference(event_log, update_log):

@@ -33,3 +33,31 @@ def test_no_plain_np_unique_in_package():
     assert paths
     found = [hit for path in paths for hit in plain_np_unique_calls(path)]
     assert not found, f"plain np.unique calls (use events._sorted_unique): {', '.join(found)}"
+
+
+ROW_CHECKS = ("_fields", "_role_code", "_kind_code")
+
+
+def row_check_uses(path):
+    """``file:line`` of every import of, or attribute access to, a row check."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        names = [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else []
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        if any(name in ROW_CHECKS for name in names):
+            yield f"{path.name}:{node.lineno}"
+
+
+def test_scanner_flags_row_check_imports(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from .events import _parse_int\nfrom .events import SchemaError, _fields\nx = events._kind_code\n")
+    assert list(row_check_uses(path)) == ["mod.py:2", "mod.py:3"]
+
+
+def test_rows_are_checked_only_in_events():
+    # Files and records share one row path in events.py; a second caller of
+    # its checks would be a second path that can drift from the first.
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "events.py"]
+    assert paths
+    found = [hit for path in paths for hit in row_check_uses(path)]
+    assert not found, f"row checks used outside events.py: {', '.join(found)}"
