@@ -22,6 +22,7 @@ from itertools import islice
 import numpy as np
 
 from .authors import _ZERO_ACTIVITY, AuthorDirectory, ROLE_MIXED, ROLE_PATIENT
+from .events import SchemaError
 from .graph import TemporalGraph
 
 FEATURE_NAMES = (
@@ -426,28 +427,27 @@ def write_choice_sets(path, instances, meta: dict | None = None) -> None:
 
 
 def read_choice_sets(path) -> tuple[list[ChoiceInstance], dict | None]:
-    """Read a JSON-lines choice-set file; returns (instances, meta-or-None)."""
+    """Read a JSON-lines choice-set file; returns (instances, meta-or-None). A bad line is a SchemaError."""
     instances: list[ChoiceInstance] = []
     meta = None
-    with open(path) as fh:
-        for line in fh:
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            if "meta" in obj and "chooser" not in obj:
-                meta = obj["meta"]
-                continue
-            instances.append(
-                ChoiceInstance(
-                    chooser=obj["chooser"],
-                    time=obj["time"],
-                    alternatives=obj["alternatives"],
-                    chosen=obj["chosen"],
-                    X=np.asarray(obj["X"], dtype=np.float64),
-                    feature_names=tuple(obj["feature_names"]),
-                )
-            )
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+                if "meta" in obj and "chooser" not in obj:
+                    meta = obj["meta"]
+                    continue
+                fields = [obj[key] for key in ("chooser", "time", "alternatives", "chosen", "X", "feature_names")]
+                instances.append(ChoiceInstance(*fields[:5], feature_names=tuple(fields[5])))
+            except KeyError as exc:
+                raise SchemaError("missing key", line=lineno, field=exc.args[0]) from None
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(str(exc), line=lineno) from None
     return instances, meta
 
 

@@ -16,8 +16,8 @@ endpoint's activation time and rejects self-edges. The edges are stored as
 ``array('q')`` code columns in (time, source, target) order, which
 ``append_edge`` grows. A graph whose nodes are not vocabulary codes also
 keeps a label table; node keys and codes are translated only when an edge is
-stored, a row is cut, unions are fed, and in ``edges()``, so every query is
-keyed by the node keys callers pass.
+stored, a row is cut, a component root is read, and in ``edges()``, so every
+query is keyed by the node keys callers pass.
 
 Adjacency is not replayed. Each node's out- and in-edges form rows sorted by
 (time, edge order), cut from one stable sort of the edge columns the first
@@ -25,8 +25,10 @@ time the node is queried; a query reads the part of a row strictly before the
 cursor with one binary search. ``append_edge`` extends the cached rows of
 both endpoints, so the index is never rebuilt.
 
-Union-find supports no deletion, so the cursor is monotone; callers replay
-history in order, which is how every analysis here consumes the network.
+Weak components come from ``_replay``, the union-find replay over int codes
+that initiation classification shares. It supports no deletion, so the
+cursor is monotone; callers replay history in order, which is how every
+analysis here consumes the network.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ import csv
 import math
 from array import array
 from bisect import bisect_left
+from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -57,7 +61,8 @@ class UnionFind:
     """Union-find over hashable nodes with union by size and path compression.
 
     Nodes are registered lazily on their first union; anything never unioned
-    is an implicit singleton.
+    is an implicit singleton. The package replays edges through ``_replay``;
+    this label-keyed form is the tests' one-edge reference.
     """
 
     __slots__ = ("parent", "size", "largest_size")
@@ -80,47 +85,16 @@ class UnionFind:
 
     def union(self, a, b) -> bool:
         """Join the components of ``a`` and ``b``; False when they already were one."""
-        return self.union_pairs((a,), (b,)) > 0
-
-    def union_pairs(self, srcs, dsts) -> int:
-        """Union ``srcs[i]`` with ``dsts[i]`` for every ``i``.
-
-        Returns how many of the unions merged two components. ``find`` is
-        inlined, so a long edge list costs no call per pair.
-        """
-        parent, size = self.parent, self.size
-        largest_size = self.largest_size
-        merges = 0
-        for a, b in zip(srcs, dsts):
-            if a in parent:
-                ra = parent[a]
-                while parent[ra] != ra:
-                    ra = parent[ra]
-                while parent[a] != ra:
-                    parent[a], a = ra, parent[a]
-            else:
-                parent[a] = ra = a
-                size[a] = 1
-            if b in parent:
-                rb = parent[b]
-                while parent[rb] != rb:
-                    rb = parent[rb]
-                while parent[b] != rb:
-                    parent[b], b = rb, parent[b]
-            else:
-                parent[b] = rb = b
-                size[b] = 1
-            if ra == rb:
-                continue
-            if size[ra] < size[rb]:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            merged = size[ra] = size[ra] + size.pop(rb)
-            merges += 1
-            if merged > largest_size:
-                largest_size = merged
-        self.largest_size = largest_size
-        return merges
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size.get(ra, 1) < self.size.get(rb, 1):
+            ra, rb = rb, ra
+        self.parent.setdefault(ra, ra)
+        self.parent[rb] = ra
+        merged = self.size[ra] = self.size.get(ra, 1) + self.size.pop(rb, 1)
+        self.largest_size = max(self.largest_size, merged)
+        return True
 
     def component_size(self, x) -> int:
         return self.size.get(self.find(x), 1)
@@ -142,6 +116,56 @@ class ComponentState:
 
     def same_component(self, a, b) -> bool:
         return self.dsu.same_component(a, b)
+
+
+# Initiation type codes index InitiationType's members: joining component 0,
+# bridging 1, joining isolates 2, intra component 3. Across two components the
+# code is picked by (initiator connected, receiver connected).
+_OPEN_TYPE = ((2, 0), (0, 1))
+
+
+def _replay(parent: list, size: list, srcs, dsts, ends, largest: int, itypes=None, isolated=None) -> list:
+    """Union ``srcs[i]`` with ``dsts[i]`` in order; the largest component size after each of ``ends``.
+
+    The one union-find replay (Tarjan, JACM 1975): ``parent`` and ``size``
+    are lists indexed by int code, grown to cover every code fed and updated
+    in place with union by size and path compression. ``ends`` are
+    increasing edge counts and ``largest`` is the largest size before the
+    first edge. When ``itypes`` and ``isolated`` are lists, each edge appends
+    its initiation type code and whether its source was an isolate, both
+    read before its own union.
+    """
+    n_codes = max(max(srcs, default=-1), max(dsts, default=-1)) + 1
+    size.extend([1] * (n_codes - len(parent)))
+    parent.extend(range(len(parent), n_codes))
+    maxima, pairs, start = [], zip(srcs, dsts), 0
+    for end in ends:
+        for a, b in islice(pairs, end - start):
+            ra = parent[a]
+            while parent[ra] != ra:
+                ra = parent[ra]
+            while parent[a] != ra:
+                parent[a], a = ra, parent[a]
+            rb = parent[b]
+            while parent[rb] != rb:
+                rb = parent[rb]
+            while parent[b] != rb:
+                parent[b], b = rb, parent[b]
+            sa, sb = size[ra], size[rb]
+            if itypes is not None:
+                itypes.append(3 if ra == rb else _OPEN_TYPE[sa > 1][sb > 1])
+                isolated.append(sa < 2)
+            if ra == rb:
+                continue
+            if sa < sb:
+                ra, rb = rb, ra
+            parent[rb] = ra
+            merged = size[ra] = sa + sb
+            if merged > largest:
+                largest = merged
+        maxima.append(largest)
+        start = end
+    return maxima
 
 
 def _csr(keys, n: int):
@@ -206,7 +230,8 @@ class TemporalGraph:
         self._act_nodes: list | None = None
         self._index: _RowIndex | None = None
         self._rows: dict = {}  # node -> (out times, targets, in times, sources), extended by append_edge
-        self._dsu = UnionFind()
+        # Code-indexed union-find of the edges before the cursor, fed by _replay.
+        self._parent, self._size, self._largest = [], [], 0
         self._cursor = -math.inf
         self._ptr = 0
         self._pair_index: dict | None = None  # (source, target) -> edge index, made by the first append
@@ -231,6 +256,15 @@ class TemporalGraph:
             code = self._code_of[node] = len(self._labels)
             self._labels.append(node)
         return code
+
+    def _root(self, node):
+        """Root code of ``node``'s weak component, or None when no union has reached ``node``."""
+        root, parent = self._code(node), self._parent
+        if root is None or root >= len(parent):
+            return None
+        while parent[root] != root:
+            root = parent[root]
+        return root
 
     def _endpoints(self, start: int, end: int) -> tuple[list, list]:
         """Source and target keys of edges ``start`` to ``end``."""
@@ -299,7 +333,8 @@ class TemporalGraph:
         ptr = self._ptr
         end = bisect_left(self._times, t, ptr)
         if end > ptr:
-            self._dsu.union_pairs(*self._endpoints(ptr, end))
+            srcs, dsts = self._srcs[ptr:end], self._dsts[ptr:end]
+            (self._largest,) = _replay(self._parent, self._size, srcs, dsts, (end - ptr,), self._largest)
             self._ptr = end
         self._cursor = t
 
@@ -373,11 +408,12 @@ class TemporalGraph:
         return b in targets[: bisect_left(out_times, self._cursor)]
 
     def same_wcc(self, a, b) -> bool:
-        return self._dsu.same_component(a, b)
+        return self.wcc_root(a) == self.wcc_root(b)
 
     def wcc_root(self, a):
-        """Representative of ``a``'s weak component; equal roots mean one component."""
-        return self._dsu.find(a)
+        """Key of the representative of ``a``'s weak component (``a`` when alone); equal roots mean one component."""
+        root = self._root(a)
+        return a if root is None else self._keys([root])[0]
 
     def is_friend_of_friend(self, a, b) -> bool:
         """True when some third node is an undirected neighbor of both."""
@@ -392,7 +428,7 @@ class TemporalGraph:
         activated = self.activated_count()
         if activated == 0:
             raise UndefinedShareError("no nodes activated before the cursor")
-        return max(self._dsu.largest_size, 1) / activated
+        return max(self._largest, 1) / activated
 
     def scc_snapshot(self) -> list[int]:
         """Strongly-connected component sizes (descending) before the cursor."""
@@ -437,7 +473,11 @@ def build(interactions, extra_nodes=None) -> TemporalGraph:
         src, dst, times = interactions.src, interactions.dst, interactions.timestamp
     else:
         graph = TemporalGraph()
-        src, dst, times = _intern_records(graph, interactions)
+        rows = [
+            (rec.source_author, rec.target_author, rec.timestamp) if isinstance(rec, DirectedInteraction) else rec
+            for rec in interactions
+        ]
+        src, dst, times = _intern_records(graph, *(list(map(itemgetter(i), rows)) for i in range(3)))
     _first_edges(graph, src, dst, times)
     if extra_nodes:
         for node, t in extra_nodes.items():
@@ -445,15 +485,8 @@ def build(interactions, extra_nodes=None) -> TemporalGraph:
     return graph
 
 
-def _intern_records(graph: TemporalGraph, records):
-    """Source codes, target codes and times of ``records``, labels interned in sorted order."""
-    srcs, dsts, times = [], [], []
-    for rec in records:
-        if isinstance(rec, DirectedInteraction):
-            rec = (rec.source_author, rec.target_author, rec.timestamp)
-        srcs.append(rec[0])
-        dsts.append(rec[1])
-        times.append(rec[2])
+def _intern_records(graph: TemporalGraph, srcs: list, dsts: list, times: list):
+    """Source codes, target codes and times of record columns, labels interned in sorted order."""
     time_column = np.array(times)
     if times and time_column.dtype != np.int64:
         # Floats would be truncated, and ints beyond int64 wrap or become objects.
@@ -461,8 +494,8 @@ def _intern_records(graph: TemporalGraph, records):
     graph._labels = sorted(set(srcs).union(dsts))
     code_of = graph._code_of = {label: code for code, label in enumerate(graph._labels)}
     return (
-        np.array([code_of[x] for x in srcs], dtype=np.int64),
-        np.array([code_of[x] for x in dsts], dtype=np.int64),
+        np.fromiter(map(code_of.__getitem__, srcs), dtype=np.int64, count=len(srcs)),
+        np.fromiter(map(code_of.__getitem__, dsts), dtype=np.int64, count=len(dsts)),
         time_column,
     )
 
@@ -566,8 +599,9 @@ def largest_wcc_share_series(graph: TemporalGraph):
     """Replay a fresh graph and yield (time, activated, largest_size, share).
 
     One row per distinct edge time, with the state including all edges at
-    that time; after each row the cursor sits just past that time. The graph
-    must not have been advanced yet.
+    that time. The graph is joined in full at the first row: from then on
+    its cursor sits just past the last edge time, as ``advance_to(last + 1)``
+    leaves it. The graph must not have been advanced yet.
     """
     if graph._ptr != 0:
         raise ValueError("series requires an un-replayed graph")
@@ -580,10 +614,10 @@ def largest_wcc_share_series(graph: TemporalGraph):
     act_times, _ = graph._activation_order()
     # Activated at or before t, i.e. strictly before the cursor t + 1 (which could wrap in int64).
     activated = np.searchsorted(np.asarray(act_times), group_times, side="right").tolist()
-    (srcs, dsts), dsu = graph._endpoints(0, len(times)), graph._dsu
-    for t, start, end, count in zip(group_times.tolist(), starts.tolist(), ends, activated):
-        dsu.union_pairs(srcs[start:end], dsts[start:end])
-        graph._ptr, graph._cursor = end, t + 1
-        largest = max(dsu.largest_size, 1) if count else 0
+    srcs, dsts = graph._srcs.tolist(), graph._dsts.tolist()
+    maxima = _replay(graph._parent, graph._size, srcs, dsts, ends, graph._largest)
+    graph._largest, graph._ptr, graph._cursor = maxima[-1], len(times), int(group_times[-1]) + 1
+    for t, count, largest in zip(group_times.tolist(), activated, maxima):
+        largest = max(largest, 1) if count else 0
         share = largest / count if count else float("nan")
-        yield int(t), count, largest, share
+        yield t, count, largest, share

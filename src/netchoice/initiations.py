@@ -18,10 +18,15 @@ first-edge reduction: ``extract_initiations`` reads the edges of ``build``.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import repeat
+from operator import attrgetter
 
-from .graph import ComponentState, InvalidEdgeError, TemporalGraph, UnionFind, build
+import numpy as np
+
+from .events import SchemaError, _parse_int
+from .graph import ComponentState, InvalidEdgeError, TemporalGraph, _intern_records, _replay, build
 
 
 class InitiationType(str, Enum):
@@ -50,6 +55,28 @@ class Initiation:
     initiator_was_isolate: bool = False
 
 
+def _initiations(*columns) -> list[Initiation]:
+    """``Initiation`` rows from one column per field, in field order.
+
+    Setting the slots through their member descriptors on ``object.__new__``
+    instances costs half the keyword constructor; the rows are the same.
+    """
+    new, cls = object.__new__, Initiation
+    setters = (getattr(cls, field.name).__set__ for field in fields(cls))
+    set_initiator, set_receiver, set_time, set_itype, set_reciprocal, set_isolated = setters
+    out = []
+    for initiator, receiver, t, itype, reciprocal, isolated in zip(*columns):
+        ini = new(cls)
+        set_initiator(ini, initiator)
+        set_receiver(ini, receiver)
+        set_time(ini, t)
+        set_itype(ini, itype)
+        set_reciprocal(ini, reciprocal)
+        set_isolated(ini, isolated)
+        out.append(ini)
+    return out
+
+
 def extract_initiations(interactions) -> list[Initiation]:
     """Reduce an interaction stream to its unique-edge stream, in time order.
 
@@ -59,7 +86,8 @@ def extract_initiations(interactions) -> list[Initiation]:
     ordered by (source, target). Types are left unset.
     """
     graph = interactions if isinstance(interactions, TemporalGraph) else build(interactions)
-    return [Initiation(initiator=s, receiver=d, time=t) for s, d, t, _ in graph.edges()]
+    unset = repeat(None), repeat(False), repeat(False)
+    return _initiations(*graph._endpoints(0, graph.n_edges), graph._times, *unset)
 
 
 def classify_initiation(state: ComponentState, initiator, receiver) -> tuple[InitiationType, bool]:
@@ -83,23 +111,40 @@ def classify_initiation(state: ComponentState, initiator, receiver) -> tuple[Ini
 def classify_initiations(initiations: list[Initiation]) -> list[Initiation]:
     """Replay the unique-edge stream, filling type and reciprocity flags.
 
-    The reciprocity flag requires the reverse edge strictly earlier in time;
-    an equal-timestamp reverse edge does not count, although it does already
-    join the pair's components for classification purposes.
+    Rows are processed in (time, initiator, receiver) order. The reciprocity
+    flag requires the reverse edge strictly earlier in time; an
+    equal-timestamp reverse edge does not count, although it does already
+    join the pair's components for classification purposes. A row reads only
+    the latest earlier-processed row of its reverse pair.
     """
-    ordered = sorted(initiations, key=lambda i: (i.time, i.initiator, i.receiver))
-    dsu = UnionFind()
-    state = ComponentState(dsu)
-    first_time: dict = {}
-    out: list[Initiation] = []
-    for ini in ordered:
-        itype, was_isolate = classify_initiation(state, ini.initiator, ini.receiver)
-        reverse = first_time.get((ini.receiver, ini.initiator))
-        is_reciprocal = reverse is not None and reverse < ini.time
-        out.append(Initiation(ini.initiator, ini.receiver, ini.time, itype, is_reciprocal, was_isolate))
-        dsu.union(ini.initiator, ini.receiver)
-        first_time[(ini.initiator, ini.receiver)] = ini.time
-    return out
+    rows, table = list(initiations), TemporalGraph()  # the graph holds the sorted label table
+    columns = (list(map(attrgetter(name), rows)) for name in ("initiator", "receiver", "time"))
+    src, dst, times = _intern_records(table, *columns)
+    n = len(table._labels)
+    order = np.lexsort((src * n + dst, times))  # n * n fits in int64 for any label count that fits in memory
+    src, dst, times = src[order], dst[order], times[order]
+    loops = np.flatnonzero(src == dst)
+    if len(loops):
+        (node,) = table._keys([int(src[loops[0]])])
+        raise InvalidEdgeError(f"initiation from {node!r} to itself")
+    # A stable sort by unordered pair keeps each pair's rows in processing
+    # order. Carrying each direction's last index forward gives every row the
+    # latest earlier row of its reverse pair, unless that index lies before
+    # the row's own group.
+    pos = np.arange(len(src))
+    pair = np.minimum(src, dst) * n + np.maximum(src, dst)
+    by_pair = np.argsort(pair, kind="stable")
+    pair, forward, pair_times = pair[by_pair], (src < dst)[by_pair], times[by_pair]
+    group_start = np.maximum.accumulate(np.where(np.diff(pair, prepend=-1) != 0, pos, 0))
+    last = [np.maximum.accumulate(np.where(forward == direction, pos, -1)) for direction in (False, True)]
+    previous = np.where(forward, *last)
+    reciprocal = np.empty(len(src), dtype=bool)
+    reciprocal[by_pair] = (previous >= group_start) & (pair_times[previous] < pair_times)
+    src, dst = src.tolist(), dst.tolist()
+    itypes, isolated = [], []
+    _replay([], [], src, dst, (len(src),), 0, itypes, isolated)
+    itypes = map(tuple(InitiationType).__getitem__, itypes)
+    return _initiations(table._keys(src), table._keys(dst), times.tolist(), itypes, reciprocal.tolist(), isolated)
 
 
 def initiations_from_interactions(interactions) -> list[Initiation]:
@@ -243,7 +288,7 @@ def reciprocation_rate_by_role(initiations: list[Initiation], roles) -> dict:
 def write_initiations_csv(path, initiations: list[Initiation], label=None, header_comment: str | None = None) -> None:
     """Write initiator,receiver,time,itype,is_reciprocal,initiator_was_isolate."""
     label = label if label is not None else (lambda x: x)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         writer = csv.writer(fh)
@@ -262,22 +307,22 @@ def write_initiations_csv(path, initiations: list[Initiation], label=None, heade
 
 
 def read_initiations_csv(path) -> list[Initiation]:
-    """Read back an initiations CSV (author ids stay strings)."""
+    """Read back an initiations CSV (author ids stay strings); a bad value is a SchemaError with line and field."""
     out: list[Initiation] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         first = fh.readline()
-        if not first.startswith("#"):
+        skipped = first.startswith("#")
+        if not skipped:
             fh.seek(0)
         reader = csv.DictReader(fh)
         for row in reader:
-            out.append(
-                Initiation(
-                    initiator=row["initiator"],
-                    receiver=row["receiver"],
-                    time=int(row["time"]),
-                    itype=InitiationType(row["itype"]) if row["itype"] else None,
-                    is_reciprocal=bool(int(row["is_reciprocal"])),
-                    initiator_was_isolate=bool(int(row["initiator_was_isolate"])),
-                )
-            )
+            line = reader.line_num + skipped
+            if row["itype"] not in _ITYPES:
+                raise SchemaError(f"unknown initiation type: {row['itype']!r}", line=line, field="itype")
+            t = _parse_int(row["time"], line, "time", minimum=-(2**63))
+            flags = [bool(_parse_int(row[f], line, f)) for f in ("is_reciprocal", "initiator_was_isolate")]
+            out.append(Initiation(row["initiator"], row["receiver"], t, _ITYPES[row["itype"]], *flags))
     return out
+
+
+_ITYPES = {"": None, **{itype.value: itype for itype in InitiationType}}

@@ -285,6 +285,22 @@ class TestExitCodes:
                     "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
         assert "line 2, field 'timestamp'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [("[1,2]\n", "line 1"), ('{"meta": {}}\n{"chooser": "a"}\n', "line 2, field 'time'"), ("{\n", "line 1")],
+    )
+    def test_choice_line_not_an_instance_is_1(self, tmp_path, capsys, text, where):
+        path = tmp_path / "choices.jsonl"
+        path.write_text(text)
+        assert run(["fit-mnl", "--choices", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert where in capsys.readouterr().err
+
+    def test_report_initiation_time_not_an_integer_is_1(self, tmp_path, capsys):
+        path = tmp_path / "initiations.csv"
+        path.write_text("initiator,receiver,time,itype,is_reciprocal,initiator_was_isolate\na,b,x,joining_isolates,0,0\n")
+        assert run(["report", "--initiations", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert "line 2, field 'time'" in capsys.readouterr().err
+
     def test_bad_config_key_is_1(self, world, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("not_a_key=1\n")

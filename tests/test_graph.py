@@ -492,6 +492,78 @@ class TestSeriesAgainstReplay:
         assert g.largest_wcc_share() == 1.0
 
 
+class TestComponentsAgainstUnionFind:
+    """Weak components at random cursors equal a label-keyed UnionFind fed the same edges.
+
+    Record graphs use int labels whose sorted codes differ from the labels,
+    so a root code returned where a key is due shows up as a wrong class.
+    """
+
+    @staticmethod
+    def check(g, oracle, nodes, activated):
+        for a in nodes:
+            root = g.wcc_root(a)
+            assert oracle.same_component(root, a), (a, root)
+            for b in nodes:
+                same = oracle.same_component(a, b)
+                assert g.same_wcc(a, b) == same, (a, b)
+                assert (g.wcc_root(b) == root) == same, (a, b)
+        if activated:
+            assert g.largest_wcc_share() == max(oracle.largest_size, 1) / activated
+
+    @pytest.mark.parametrize("coded", [False, True], ids=["int-labels", "int-codes"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_checkpoints_with_appends(self, seed, coded):
+        rng = np.random.default_rng(700 + seed)
+        labels = [(53 * i) % 97 - 40 for i in range(24)]
+        stream = [(labels[s], labels[d], t) for s, d, t in random_edge_stream(rng, n_nodes=16, n_edges=60, t_max=50)]
+        if coded:
+            g, code = coded_graph(stream, {})
+        else:
+            g, code = build(stream), {n: n for n in labels}
+        # Later edges reach eight nodes no built edge has, so they are interned fresh.
+        for n in labels:
+            code.setdefault(n, len(code))
+        later = sorted(
+            ((labels[s], labels[d], int(t)) for s, d, t in random_edge_stream(rng, n_nodes=24, n_edges=40, t_max=40)),
+            key=lambda e: e[2],
+        )
+        edges = sorted(((code[s], code[d], t) for s, d, t in stream), key=lambda e: e[2])
+        nodes = sorted(code.values())
+        oracle, fed, j, top = UnionFind(), 0, 0, 50
+        for cursor in sorted(rng.choice(np.arange(1, 101), size=8, replace=False).tolist()):
+            while j < len(later) and later[j][2] + top <= cursor:
+                s, d, t = later[j]
+                g.append_edge(code[s], code[d], t + top)
+                edges.append((code[s], code[d], t + top))
+                j += 1
+            g.advance_to(cursor)
+            while fed < len(edges) and edges[fed][2] < cursor:
+                oracle.union(*edges[fed][:2])
+                fed += 1
+            self.check(g, oracle, nodes, g.activated_count())
+
+    def test_series_leaves_the_state_of_advance(self):
+        rng = np.random.default_rng(9)
+        labels = [(31 * i) % 59 - 20 for i in range(20)]
+        stream = [(labels[s], labels[d], t) for s, d, t in random_edge_stream(rng, n_nodes=20, n_edges=50, t_max=30)]
+        extra = {labels[0]: 100}
+        series_graph, fresh = build(stream, extra_nodes=extra), build(stream, extra_nodes=extra)
+        rows = list(largest_wcc_share_series(series_graph))
+        fresh.advance_to(rows[-1][0] + 1)
+        assert series_graph.cursor == fresh.cursor
+        assert series_graph.scc_snapshot() == fresh.scc_snapshot()
+        assert series_graph.largest_wcc_share() == fresh.largest_wcc_share()
+        assert series_graph.activated_count() == fresh.activated_count()
+        oracle = UnionFind()
+        for s, d, _, _ in fresh.edges():
+            oracle.union(s, d)
+        for g in (series_graph, fresh):
+            self.check(g, oracle, labels, g.activated_count())
+        with pytest.raises(MonotonicityError):
+            series_graph.advance_to(rows[-1][0])
+
+
 def test_build_peak_per_input_row():
     # 200k interactions over 1,600 pairs: the first-edge reduction's
     # temporaries, not its output, set the peak. Widening the int32 code

@@ -1,15 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import bfs_components, component_of, random_edge_stream
 
-from netchoice.events import DirectedInteraction, DirectedInteractionLog, unique_pair_count
+from netchoice.events import DirectedInteraction, DirectedInteractionLog, SchemaError, unique_pair_count
 from netchoice.graph import ComponentState, UnionFind, build
 from netchoice.initiations import (
     Initiation,
     InitiationType,
     InvalidEdgeError,
+    _initiations,
     classify_initiation,
+    classify_initiations,
     extract_initiations,
     initiations_from_interactions,
     read_initiations_csv,
@@ -176,6 +180,109 @@ class TestReciprocity:
             assert reciprocal_flag(g, ini.initiator, ini.receiver) == expected
 
 
+def classify_loop_oracle(initiations):
+    """One edge at a time through ``classify_initiation`` and ``UnionFind``, with a last-time dict per pair."""
+    ordered = sorted(initiations, key=lambda i: (i.time, i.initiator, i.receiver))
+    dsu = UnionFind()
+    state = ComponentState(dsu)
+    last_time: dict = {}
+    out = []
+    for ini in ordered:
+        itype, was_isolate = classify_initiation(state, ini.initiator, ini.receiver)
+        reverse = last_time.get((ini.receiver, ini.initiator))
+        out.append(Initiation(ini.initiator, ini.receiver, ini.time, itype, reverse is not None and reverse < ini.time, was_isolate))
+        dsu.union(ini.initiator, ini.receiver)
+        last_time[(ini.initiator, ini.receiver)] = ini.time
+    return out
+
+
+def random_initiation_rows(rng, labels, n_rows, t_max):
+    """Rows with repeated pairs and equal-time reverse edges, in shuffled order."""
+    rows = []
+    while len(rows) < n_rows:
+        a, b = rng.choice(len(labels), size=2, replace=False).tolist()
+        t = int(rng.integers(t_max))
+        rows.append(Initiation(labels[a], labels[b], t))
+        draw = rng.random()
+        if draw < 0.2:
+            rows.append(Initiation(labels[b], labels[a], t))
+        elif draw < 0.35:
+            rows.append(Initiation(labels[a], labels[b], int(rng.integers(t_max))))
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+LABEL_SETS = {
+    "str": [f"n{i}" for i in range(14)],
+    # Ints whose sorted order differs from their first appearance and from any code.
+    "int": [(37 * i) % 101 - 50 for i in range(14)],
+}
+
+
+class TestClassifyAgainstLoop:
+    @pytest.mark.parametrize("kind", sorted(LABEL_SETS))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_streams(self, seed, kind):
+        rng = np.random.default_rng(500 + seed)
+        for _ in range(40):
+            rows = random_initiation_rows(rng, LABEL_SETS[kind], int(rng.integers(1, 60)), int(rng.integers(1, 25)))
+            got = classify_initiations(rows)
+            assert got == classify_loop_oracle(rows)
+            assert [type(i.is_reciprocal) for i in got] == [bool] * len(rows)
+            assert [type(i.initiator_was_isolate) for i in got] == [bool] * len(rows)
+
+    def test_repeated_pair_reads_latest_reverse_row(self):
+        # a -> b at 1 and again at 5. b -> a at 5 is processed after a -> b at 5,
+        # so it reads that row, whose time is not below its own: not reciprocal,
+        # although a -> b at 1 is earlier. b -> a at 7 reads the same row: reciprocal.
+        rows = [Initiation("b", "a", 7), Initiation("b", "a", 5), Initiation("a", "b", 5), Initiation("a", "b", 1)]
+        got = classify_initiations(rows)
+        assert [(i.initiator, i.time, i.is_reciprocal) for i in got] == [
+            ("a", 1, False), ("a", 5, False), ("b", 5, False), ("b", 7, True),
+        ]
+        assert got == classify_loop_oracle(rows)
+
+    @pytest.mark.parametrize("kind", sorted(LABEL_SETS))
+    def test_self_edge_message_matches(self, kind):
+        labels = LABEL_SETS[kind]
+        rows = [
+            Initiation(labels[0], labels[1], 3),
+            Initiation(labels[2], labels[2], 4),
+            Initiation(labels[3], labels[3], 2),
+            Initiation(labels[4], labels[5], 1),
+        ]
+        with pytest.raises(InvalidEdgeError) as expected:
+            classify_loop_oracle(rows)
+        with pytest.raises(InvalidEdgeError) as got:
+            classify_initiations(rows)
+        assert str(got.value) == str(expected.value) == f"initiation from {labels[3]!r} to itself"
+
+    def test_empty(self):
+        assert classify_initiations([]) == []
+
+
+class TestInitiationColumns:
+    def test_rows_match_constructed(self):
+        itypes = [JC, None, IC]
+        built = _initiations(["a", 2, "c"], ["b", 3, "d"], [1, 2, 3], itypes, [False, True, False], [True, False, True])
+        constructed = [
+            Initiation("a", "b", 1, JC, False, True),
+            Initiation(2, 3, 2, None, True, False),
+            Initiation("c", "d", 3, IC, False, True),
+        ]
+        assert built == constructed
+        assert [hash(i) for i in built] == [hash(i) for i in constructed]
+        assert [repr(i) for i in built] == [repr(i) for i in constructed]
+
+    def test_defaults_and_frozen(self):
+        (ini,) = _initiations(["a"], ["b"], [4], [None], [False], [False])
+        assert ini == Initiation("a", "b", 4)
+        assert repr(ini) == repr(Initiation("a", "b", 4))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ini.time = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ini.itype = JC
+
+
 class TestTimeline:
     def test_window_shares(self):
         inits = [
@@ -285,3 +392,36 @@ def test_csv_round_trip(tmp_path):
     assert [(f"a{i.initiator}", f"a{i.receiver}", i.time, i.itype, i.is_reciprocal) for i in inits] == [
         (i.initiator, i.receiver, i.time, i.itype, i.is_reciprocal) for i in back
     ]
+
+
+HEADER = "initiator,receiver,time,itype,is_reciprocal,initiator_was_isolate\n"
+
+
+@pytest.mark.parametrize(
+    "row, line, field",
+    [
+        ("a,b,x,joining_isolates,0,0", 2, "time"),
+        ("a,b,1,joining_nobody,0,0", 2, "itype"),
+        ("a,b,1,joining_isolates,yes,0", 2, "is_reciprocal"),
+        ("a,b,1,joining_isolates,0,-1", 2, "initiator_was_isolate"),
+    ],
+)
+def test_csv_bad_row_names_line_and_field(tmp_path, row, line, field):
+    path = tmp_path / "initiations.csv"
+    path.write_text(HEADER + row + "\n")
+    with pytest.raises(SchemaError) as err:
+        read_initiations_csv(path)
+    assert (err.value.line, err.value.field) == (line, field)
+    # A header comment shifts every line by one.
+    path.write_text("# config_hash=1\n" + HEADER + "a,b,1,,0,0\n" + row + "\n")
+    with pytest.raises(SchemaError) as err:
+        read_initiations_csv(path)
+    assert (err.value.line, err.value.field) == (line + 2, field)
+
+
+def test_csv_round_trip_non_ascii(tmp_path):
+    inits = [Initiation("zoë", "王", 3, JI, False, True)]
+    path = tmp_path / "initiations.csv"
+    write_initiations_csv(path, inits)
+    assert path.read_bytes().decode("utf-8").splitlines()[1] == "zoë,王,3,joining_isolates,0,1"
+    assert read_initiations_csv(path) == inits

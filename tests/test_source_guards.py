@@ -61,3 +61,29 @@ def test_rows_are_checked_only_in_events():
     assert paths
     found = [hit for path in paths for hit in row_check_uses(path)]
     assert not found, f"row checks used outside events.py: {', '.join(found)}"
+
+
+def union_find_calls(path):
+    """``file:line`` of every call of ``UnionFind``, by name or as an attribute."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name == "UnionFind":
+                yield f"{path.name}:{node.lineno}"
+
+
+def test_scanner_flags_union_find_calls(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from .graph import UnionFind\nd = UnionFind()\ne = graph.UnionFind()\nf = UnionFinder()\n")
+    assert list(union_find_calls(path)) == ["mod.py:2", "mod.py:3"]
+
+
+def test_no_union_find_in_package():
+    # The graph and initiation classification replay edges through
+    # graph._replay over int codes; the label-keyed UnionFind is the tests'
+    # one-edge oracle, and a package caller would be a second replay path.
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    found = [hit for path in paths for hit in union_find_calls(path)]
+    assert not found, f"UnionFind calls (replay through graph._replay): {', '.join(found)}"
