@@ -14,14 +14,13 @@ author's sites in creation order, taking the first informative category.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .events import SchemaError, UpdateLog, _parse_int, _site_authors
+from .events import UpdateLog, _csv_columns, _parse_int, _site_authors, _write_csv
 
 SECONDS_PER_DAY = 86_400.0
 DAYS_PER_MONTH = 30.44
@@ -139,21 +138,11 @@ class GeoPost:
 
 def load_geo_posts(path) -> list[GeoPost]:
     """Read author_id,timestamp,state rows (empty state = unresolvable)."""
-    posts: list[GeoPost] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"author_id", "timestamp", "state"}
-        if reader.fieldnames is None or set(reader.fieldnames) != expected:
-            raise SchemaError(f"expected columns {sorted(expected)}, got {reader.fieldnames}", line=1)
-        for row in reader:
-            posts.append(
-                GeoPost(
-                    author_id=row["author_id"],
-                    timestamp=_parse_int(row["timestamp"], reader.line_num, "timestamp"),
-                    state=row["state"] or None,
-                )
-            )
-    return posts
+    lines, cols = _csv_columns(path, ("author_id", "timestamp", "state"), exact=True)
+    return [
+        GeoPost(author_id=author, timestamp=_parse_int(t, line, "timestamp"), state=state or None)
+        for line, author, t, state in zip(lines, cols["author_id"], cols["timestamp"], cols["state"])
+    ]
 
 
 @dataclass(frozen=True)
@@ -406,23 +395,21 @@ class AuthorDirectory:
 
     def to_csv(self, path, header_comment: str | None = None) -> None:
         """Write author_id,role,is_shared,health_condition,state,first_update_time."""
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["author_id", "role", "is_shared", "health_condition", "state", "first_update_time"])
-            for author in sorted(self._row, key=lambda a: str(self._label(a))):
-                rec = self.record(author)
-                writer.writerow(
-                    [
-                        self._label(author),
-                        rec.role or "",
-                        int(rec.is_shared_account),
-                        rec.health_condition or "",
-                        rec.state or "",
-                        rec.first_update_time,
-                    ]
-                )
+        rows = []
+        for author in sorted(self._row, key=lambda a: str(self._label(a))):
+            rec = self.record(author)
+            rows.append(
+                [
+                    self._label(author),
+                    rec.role or "",
+                    int(rec.is_shared_account),
+                    rec.health_condition or "",
+                    rec.state or "",
+                    rec.first_update_time,
+                ]
+            )
+        columns = ("author_id", "role", "is_shared", "health_condition", "state", "first_update_time")
+        _write_csv(path, columns, rows, header_comment)
 
 
 def load_site_conditions(path) -> tuple[dict, dict]:
@@ -432,15 +419,11 @@ def load_site_conditions(path) -> tuple[dict, dict]:
     """
     conditions: dict = {}
     created: dict = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "site_id" not in reader.fieldnames:
-            raise SchemaError("expected a site_id column", line=1)
-        for row in reader:
-            site = row["site_id"]
-            conditions[site] = row.get("health_condition") or None
-            if row.get("created"):
-                created[site] = _parse_int(row["created"], reader.line_num, "created")
+    lines, cols = _csv_columns(path, ("site_id",), optional=("health_condition", "created"))
+    for line, site, condition, made in zip(lines, cols["site_id"], cols["health_condition"], cols["created"]):
+        conditions[site] = condition or None
+        if made:
+            created[site] = _parse_int(made, line, "created")
     return conditions, created
 
 

@@ -22,7 +22,7 @@ from itertools import islice
 import numpy as np
 
 from .authors import _ZERO_ACTIVITY, AuthorDirectory, ROLE_MIXED, ROLE_PATIENT
-from .events import SchemaError
+from .events import SchemaError, _json_lines
 from .graph import TemporalGraph
 
 FEATURE_NAMES = (
@@ -406,7 +406,7 @@ def synth_generate(config: SynthConfig) -> tuple[list[ChoiceInstance], TemporalG
 
 def write_choice_sets(path, instances, meta: dict | None = None) -> None:
     """Write instances as JSON lines, optionally preceded by one meta line."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         if meta is not None:
             fh.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
         for inst in instances:
@@ -430,24 +430,21 @@ def read_choice_sets(path) -> tuple[list[ChoiceInstance], dict | None]:
     """Read a JSON-lines choice-set file; returns (instances, meta-or-None). A bad line is a SchemaError."""
     instances: list[ChoiceInstance] = []
     meta = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
-                if "meta" in obj and "chooser" not in obj:
-                    meta = obj["meta"]
-                    continue
-                fields = [obj[key] for key in ("chooser", "time", "alternatives", "chosen", "X", "feature_names")]
-                instances.append(ChoiceInstance(*fields[:5], feature_names=tuple(fields[5])))
-            except KeyError as exc:
-                raise SchemaError("missing key", line=lineno, field=exc.args[0]) from None
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(str(exc), line=lineno) from None
+    for line, obj in _json_lines(path):
+        if "meta" in obj and "chooser" not in obj:
+            meta = obj["meta"]
+            continue
+        try:
+            fields = [obj[key] for key in ("chooser", "time", "alternatives", "chosen", "X", "feature_names")]
+        except KeyError as exc:
+            raise SchemaError("missing key", line=line, field=exc.args[0]) from None
+        for key in ("time", "chosen"):
+            if type(obj[key]) is not int:
+                raise SchemaError(f"not an integer: {obj[key]!r}", line=line, field=key)
+        try:
+            instances.append(ChoiceInstance(*fields[:5], feature_names=tuple(fields[5])))
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(str(exc), line=line) from None
     return instances, meta
 
 

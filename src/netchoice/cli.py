@@ -14,13 +14,14 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure, 64 usage.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
+from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 
@@ -30,8 +31,12 @@ from . import estimators, graph as graph_mod, initiations as init_mod, labelshif
 from .events import (
     SchemaError,
     UnresolvedAmpError,
+    _csv_columns,
+    _json_file,
+    _write_csv,
     filter_self_interactions,
     load_logs,
+    load_updates,
     project_to_author_edges,
     resolve_amp_timestamps,
     unique_pair_count,
@@ -227,8 +232,7 @@ def _build_parser() -> _Parser:
 def _write_json(path, payload: dict, cfg: RunConfig) -> None:
     payload = dict(payload)
     payload["config_hash"] = cfg.config_hash()
-    with open(path, "w") as fh:
-        fh.write(json.dumps(_plain_json(payload), sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(json.dumps(_plain_json(payload), sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _plain_json(obj):
@@ -309,13 +313,9 @@ def _cmd_project(cfg: RunConfig, args) -> int:
     interactions, _, stats = _projected(cfg)
     elapsed = time.perf_counter() - started
     stats["unique_pairs"] = unique_pair_count(interactions)
-    path = _out(cfg, "projected.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config_hash={cfg.config_hash()}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["source_author", "target_author", "timestamp", "kind", "via_site"])
-        for rec in interactions:
-            writer.writerow([rec.source_author, rec.target_author, rec.timestamp, rec.kind, rec.via_site])
+    columns = ("source_author", "target_author", "timestamp", "kind", "via_site")
+    rows = map(attrgetter(*columns), interactions)
+    _write_csv(_out(cfg, "projected.csv"), columns, rows, f"config_hash={cfg.config_hash()}")
     _write_json(_out(cfg, "project_summary.json"), stats, cfg)
     print(f"project: {len(interactions)} directed interactions, {stats['unique_pairs']} unique pairs")
     print(f"throughput: {stats['events_kept'] / max(elapsed, 1e-9):,.0f} events/s ({elapsed:.2f}s)")
@@ -329,13 +329,9 @@ def _cmd_network(cfg: RunConfig, args) -> int:
     g = graph_mod.build(interactions, extra_nodes=directory.first_update_times())
     build_elapsed = time.perf_counter() - started
     g.to_edge_csv(_out(cfg, "edges.csv"), header_comment=f"config_hash={cfg.config_hash()}")
-    share_path = _out(cfg, "wcc_share.csv")
-    with open(share_path, "w", newline="") as fh:
-        fh.write(f"# config_hash={cfg.config_hash()}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["time", "activated", "largest_size", "share"])
-        for row in graph_mod.largest_wcc_share_series(g):
-            writer.writerow([row[0], row[1], row[2], f"{row[3]:.10f}"])
+    rows = ((t, n, size, f"{share:.10f}") for t, n, size, share in graph_mod.largest_wcc_share_series(g))
+    columns = ("time", "activated", "largest_size", "share")
+    _write_csv(_out(cfg, "wcc_share.csv"), columns, rows, f"config_hash={cfg.config_hash()}")
     scc = g.scc_snapshot()
     summary = {
         "edges": g.n_edges,
@@ -373,8 +369,6 @@ def _cmd_initiations(cfg: RunConfig, args) -> int:
 def _cmd_authors(cfg: RunConfig, args) -> int:
     if not cfg.updates:
         raise ValueError("this subcommand needs --updates (or the updates config key)")
-    from .events import load_updates
-
     updates, _ = load_updates(cfg.updates, cfg.format)
     directory = _directory(cfg, updates)
     directory.to_csv(_out(cfg, "authors.csv"), header_comment=f"config_hash={cfg.config_hash()}")
@@ -389,30 +383,26 @@ def _cmd_features(cfg: RunConfig, args) -> int:
     inits = init_mod.initiations_from_interactions(g)
     names = choices_mod.feature_names(cfg.include_state)
     vocab = interactions.vocab
-    path = _out(cfg, "features.csv")
-    skipped = 0
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config_hash={cfg.config_hash()}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["initiator", "receiver", "time", *names])
-        for ini in inits:
-            g.advance_to(ini.time)
-            try:
-                vec = choices_mod.build_features(
-                    ini.initiator, ini.receiver, ini.time, g, directory, cfg.include_state
-                )
-            except choices_mod.UnknownCandidateError:
-                skipped += 1
-                continue
-            writer.writerow(
-                [
-                    vocab.authors.id(int(ini.initiator)),
-                    vocab.authors.id(int(ini.receiver)),
-                    ini.time,
-                    *(f"{v:.10g}" for v in vec),
-                ]
+    rows = []
+    for ini in inits:
+        g.advance_to(ini.time)
+        try:
+            vec = choices_mod.build_features(
+                ini.initiator, ini.receiver, ini.time, g, directory, cfg.include_state
             )
-    print(f"features: {len(inits) - skipped} rows ({skipped} receivers not yet active)")
+        except choices_mod.UnknownCandidateError:
+            continue
+        rows.append(
+            [
+                vocab.authors.id(int(ini.initiator)),
+                vocab.authors.id(int(ini.receiver)),
+                ini.time,
+                *(f"{v:.10g}" for v in vec),
+            ]
+        )
+    columns = ("initiator", "receiver", "time", *names)
+    _write_csv(_out(cfg, "features.csv"), columns, rows, f"config_hash={cfg.config_hash()}")
+    print(f"features: {len(rows)} rows ({len(inits) - len(rows)} receivers not yet active)")
     return EXIT_OK
 
 
@@ -471,38 +461,30 @@ def _cmd_fit_mnl(cfg: RunConfig, args) -> int:
     if test:
         payload["test_accuracy"] = estimators.mnl_accuracy(fit, test)
     _write_json(_out(cfg, "model_mnl.json"), payload, cfg)
-    with open(_out(cfg, "model_mnl.txt"), "w") as fh:
-        fh.write(f"config_hash={cfg.config_hash()}\n")
-        fh.write(fit.text_table())
+    Path(_out(cfg, "model_mnl.txt")).write_text(f"config_hash={cfg.config_hash()}\n" + fit.text_table(), encoding="utf-8")
     print(fit.text_table())
     if test:
         print(f"test accuracy: {payload['test_accuracy']:.4f} over {len(test)} instances")
     return EXIT_OK
 
 
-def _dict_reader(fh) -> csv.DictReader:
-    """A ``csv.DictReader`` over ``fh`` that skips a leading ``#`` line."""
-    if not fh.readline().startswith("#"):
-        fh.seek(0)
-    return csv.DictReader(fh)
-
-
-def _read_columns(path) -> dict:
-    with open(path, newline="") as fh:
-        reader = _dict_reader(fh)
-        columns: dict[str, list] = {name: [] for name in (reader.fieldnames or [])}
-        for row in reader:
-            for name in columns:
-                value = row[name]
-                columns[name].append(float(value) if value != "" else float("nan"))
-    return {name: np.asarray(vals, dtype=np.float64) for name, vals in columns.items()}
+def _read_columns(path, required) -> dict:
+    """Every column of a CSV file as floats; an empty cell is NaN."""
+    lines, cells = _csv_columns(path, required)
+    columns = {}
+    for name, texts in cells.items():
+        values = columns[name] = np.empty(len(texts))
+        for i, (line, text) in enumerate(zip(lines, texts)):
+            try:
+                values[i] = float(text) if text != "" else float("nan")
+            except ValueError:
+                raise SchemaError(f"not a number: {text!r}", line=line, field=name) from None
+    return columns
 
 
 def _fit_glm(cfg: RunConfig, args, fit_fn, stem: str) -> int:
-    columns = _read_columns(args.data)
-    if args.outcome not in columns:
-        raise ValueError(f"outcome column {args.outcome!r} not in {args.data}")
     terms = [t.strip() for t in args.features.split(",") if t.strip()]
+    columns = _read_columns(args.data, [args.outcome, *(part for t in terms for part in t.split(":"))])
     X, names = estimators.design_matrix(columns, terms, add_intercept=not args.no_intercept)
     y = columns[args.outcome]
     if not np.isfinite(X).all() or not np.isfinite(y).all():
@@ -521,9 +503,7 @@ def _fit_glm(cfg: RunConfig, args, fit_fn, stem: str) -> int:
         payload["anova"] = anova.to_json_dict()
         payload["anova"]["dropped"] = sorted(dropped)
     _write_json(_out(cfg, f"{stem}.json"), payload, cfg)
-    with open(_out(cfg, f"{stem}.txt"), "w") as fh:
-        fh.write(f"config_hash={cfg.config_hash()}\n")
-        fh.write(fit.text_table())
+    Path(_out(cfg, f"{stem}.txt")).write_text(f"config_hash={cfg.config_hash()}\n" + fit.text_table(), encoding="utf-8")
     print(fit.text_table())
     if "anova" in payload:
         a = payload["anova"]
@@ -549,17 +529,11 @@ def _cmd_fit_ols(cfg: RunConfig, args) -> int:
 
 
 def _cmd_bbse(cfg: RunConfig, args) -> int:
-    predictions, labels = [], []
-    with open(args.holdout, newline="") as fh:
-        reader = _dict_reader(fh)
-        if reader.fieldnames is None or set(reader.fieldnames) != {"prediction", "label"}:
-            raise ValueError(f"expected columns prediction,label in {args.holdout}")
-        for row in reader:
-            predictions.append(row["prediction"])
-            labels.append(row["label"])
-    with open(args.target_marginal) as fh:
-        marginal = json.load(fh)
-    confusion = labelshift.confusion_from_holdout(predictions, labels)
+    _, holdout = _csv_columns(args.holdout, ("prediction", "label"), exact=True)
+    line, marginal = _json_file(args.target_marginal)
+    if not isinstance(marginal, list) or not all(type(v) in (int, float) for v in marginal):
+        raise SchemaError("expected a JSON list of numbers", line=line)
+    confusion = labelshift.confusion_from_holdout(holdout["prediction"], holdout["label"])
     estimate = labelshift.estimate_shift(confusion, marginal)
     payload = estimate.to_json_dict()
     payload["n_holdout"] = confusion.n_holdout
@@ -570,14 +544,8 @@ def _cmd_bbse(cfg: RunConfig, args) -> int:
 
 
 def _cmd_kappa(cfg: RunConfig, args) -> int:
-    a, b = [], []
-    with open(args.labels, newline="") as fh:
-        reader = _dict_reader(fh)
-        if reader.fieldnames is None or set(reader.fieldnames) != {"rater_a", "rater_b"}:
-            raise ValueError(f"expected columns rater_a,rater_b in {args.labels}")
-        for row in reader:
-            a.append(row["rater_a"])
-            b.append(row["rater_b"])
+    _, labels = _csv_columns(args.labels, ("rater_a", "rater_b"), exact=True)
+    a, b = labels["rater_a"], labels["rater_b"]
     kappa = authors_mod.cohens_kappa(a, b)
     _write_json(_out(cfg, "kappa.json"), {"kappa": kappa, "n_items": len(a)}, cfg)
     print(f"kappa: {kappa:.6f} over {len(a)} items")
@@ -626,7 +594,8 @@ def _cmd_report(cfg: RunConfig, args) -> int:
         if overall.joining_component_isolate_share is not None:
             lines.append(f"joining started by isolate {overall.joining_component_isolate_share:.4%}")
     if args.authors_csv:
-        states = _read_author_states(args.authors_csv)
+        _, table = _csv_columns(args.authors_csv, ("author_id",), optional=("state",))
+        states = {author: state for author, state in zip(table["author_id"], table["state"]) if state}
         both = [
             (states.get(str(i.initiator)), states.get(str(i.receiver)))
             for i in inits
@@ -646,31 +615,26 @@ def _cmd_report(cfg: RunConfig, args) -> int:
         lines.append("same-state share       unavailable (no author table)")
     models = []
     for fit_path in args.fits:
-        with open(fit_path) as fh:
-            obj = json.load(fh)
-        fit = estimators.FitResult.from_json_dict(obj)
+        line, obj = _json_file(fit_path)
+        if not isinstance(obj, dict):
+            raise SchemaError("expected a JSON object", line=line)
+        try:
+            table = estimators.FitResult.from_json_dict(obj).text_table()
+        except KeyError as exc:
+            raise SchemaError("missing key", line=line, field=exc.args[0]) from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"not a model: {exc}", line=line) from None
         name = os.path.basename(fit_path)
         models.append({"name": name, "model": obj})
         lines.append("")
         lines.append(f"model: {name}")
-        lines.append(fit.text_table())
+        lines.append(table)
     payload["models"] = models
     _write_json(_out(cfg, "report.json"), payload, cfg)
     text = "\n".join(lines) + "\n"
-    with open(_out(cfg, "report.txt"), "w") as fh:
-        fh.write(f"config_hash={cfg.config_hash()}\n")
-        fh.write(text)
+    Path(_out(cfg, "report.txt")).write_text(f"config_hash={cfg.config_hash()}\n" + text, encoding="utf-8")
     print(text)
     return EXIT_OK
-
-
-def _read_author_states(path) -> dict:
-    states: dict[str, str] = {}
-    with open(path, newline="") as fh:
-        for row in _dict_reader(fh):
-            if row.get("state"):
-                states[row["author_id"]] = row["state"]
-    return states
 
 
 _DISPATCH = {

@@ -12,7 +12,6 @@ All fits are deterministic: no randomness enters the estimators themselves.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -125,9 +124,6 @@ class FitResult:
             out["df"] = list(self.df)
         out.update(self.extra)
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FitResult":

@@ -14,6 +14,7 @@ dataclass records.
 
 from __future__ import annotations
 
+import csv
 import json
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
@@ -382,81 +383,156 @@ def _record_rows(records, columns):
 
 
 def _open_rows(path, fmt, columns):
-    """Yield (line_number, list-of-string-fields) rows for csv or json-lines."""
+    """(line_number, list-of-string-fields) rows of a csv or json-lines log.
+    A CSV log's header is ``columns`` on line 1: it has no ``#`` line."""
     if fmt == "csv":
-        import csv
+        rows = _csv_rows(path)
+        line, header = next(rows, (1, columns))
+        if line != 1 or tuple(header) != columns:
+            got = ",".join(header) if line == 1 else "a '#' line"
+            raise SchemaError(f"expected header {','.join(columns)}, got {got}", line=1)
+        return rows
+    if fmt == "json-lines":
+        return ((line, _fields(map(obj.get, columns), line, columns)) for line, obj in _json_lines(path))
+    raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json-lines'")
 
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader, None)
-                if header is None:
-                    return
-                if tuple(header) != columns:
-                    raise SchemaError(f"expected header {','.join(columns)}, got {','.join(header)}", line=1)
-                for lineno, row in enumerate(reader, start=2):
-                    if not row:
-                        continue
-                    if len(row) != len(columns):
-                        raise SchemaError(f"expected {len(columns)} fields, got {len(row)}", line=lineno)
-                    yield lineno, row
-            except csv.Error as exc:
-                raise SchemaError(f"unreadable CSV: {exc}", line=reader.line_num) from None
-            except UnicodeDecodeError:
-                raise _decode_error(path, fmt, columns) from None
-    elif fmt == "json-lines":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        obj = json.loads(line)
-                    except (ValueError, RecursionError) as exc:
-                        raise SchemaError(f"invalid JSON: {exc}", line=lineno) from None
+
+def _csv_rows(path):
+    """Yield a CSV file's header as (line, fields), then (line, fields) for
+    every non-blank row, skipping one leading line that starts with ``#``.
+    A file with no lines yields nothing; a short row names its first missing
+    field.
+
+    Every input file is read here, by this, _json_lines or _json_file: as
+    UTF-8, and what cannot be read is a SchemaError naming its line.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            skipped = fh.readline().startswith("#")
+            if not skipped:
+                fh.seek(0)
+            header = next(reader, [] if skipped else None)
+            if header is None:
+                return
+            yield 1 + skipped, header
+            width = len(header)
+            for row in reader:  # line_num counts physical lines, also inside quotes
+                if not row:
+                    continue
+                if len(row) != width:
+                    field = header[len(row)] if len(row) < width else None
+                    line = reader.line_num + skipped
+                    raise SchemaError(f"expected {width} fields, got {len(row)}", line=line, field=field)
+                yield reader.line_num + skipped, row
+        except csv.Error as exc:
+            raise SchemaError(f"unreadable CSV: {exc}", line=reader.line_num + skipped) from None
+        except UnicodeDecodeError:
+            raise _decode_error(path, "csv") from None
+
+
+def _csv_columns(path, required, optional=(), exact=False) -> tuple[list[int], dict[str, list[str]]]:
+    """(lines, columns) of a CSV file: the line of every row, and every column
+    its header names as a list of strings, plus each ``optional`` column it
+    lacks as empty strings. A missing ``required`` column, or with ``exact``
+    a column beyond them, is a SchemaError on the header's line."""
+    rows = _csv_rows(path)
+    line, header = next(rows, (1, []))
+    for name in required:
+        if name not in header:
+            raise SchemaError("missing column", line=line, field=name)
+    if exact:
+        for name in header:
+            if name not in required:
+                raise SchemaError("unexpected column", line=line, field=name)
+    rows = list(rows)
+    columns = {name: [row[i] for _, row in rows] for i, name in enumerate(header)}
+    for name in optional:
+        columns.setdefault(name, [""] * len(rows))
+    return [line for line, _ in rows], columns
+
+
+def _json_lines(path):
+    """Yield (line, object) for every non-blank line of a JSON-lines file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, text in enumerate(fh, start=1):
+                text = text.strip()
+                if text:
+                    obj = _json_value(text, lineno)
                     if not isinstance(obj, dict):
                         raise SchemaError("expected a JSON object", line=lineno)
-                    yield lineno, _fields(map(obj.get, columns), lineno, columns)
-            except UnicodeDecodeError:
-                raise _decode_error(path, fmt, columns) from None
-    else:
-        raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json-lines'")
+                    yield lineno, obj
+        except UnicodeDecodeError:
+            raise _decode_error(path, "json-lines") from None
 
 
-def _decode_error(path, fmt, columns) -> SchemaError:
-    """The error for a log that is not UTF-8, naming the first line that does
-    not decode and the field holding the byte, where the line still parses.
+def _json_file(path):
+    """(line, value) of a JSON file holding one value; line is where it starts."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise _decode_error(path, "json") from None
+    value = _json_value(text, 1)
+    return text[: len(text) - len(text.lstrip())].count("\n") + 1, value
+
+
+def _json_value(text, line):
+    """The JSON value of ``text``, which starts on ``line``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"invalid JSON: {exc}", line=line + getattr(exc, "lineno", 1) - 1) from None
+
+
+def _write_csv(path, columns, rows, header_comment: str | None = None) -> None:
+    """Write a CSV artifact as UTF-8: an optional ``# comment`` line, the
+    header and the rows."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def _decode_error(path, fmt) -> SchemaError:
+    """The error for a file that is not UTF-8, naming the first line that does
+    not decode and, where the line still parses, the CSV column or JSON key
+    whose value holds the byte.
 
     The text reader decodes whole buffers, so the file is read again, line by
     line in binary; this runs only after a decode has failed.
     """
-    import csv
     import re
 
+    header = None  # a CSV file's header line, once read
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                raw.decode("utf-8")
+                text = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 byte = raw[exc.start]
                 break
+            if header is None and not (lineno == 1 and text.startswith("#")):
+                header = text
         else:
             return SchemaError("not UTF-8")
     # surrogateescape maps each byte that does not decode to U+DC80..U+DCFF.
     text = raw.decode("utf-8", errors="surrogateescape")
-    values = []
-    if fmt == "csv" and lineno > 1:
-        values = next(csv.reader([text]), [])
+    named = []
+    if fmt == "csv" and header is not None:
+        named = zip(next(csv.reader([header]), []), next(csv.reader([text]), []))
     elif fmt == "json-lines":
         try:
             obj = json.loads(text)
         except (ValueError, RecursionError):
             obj = None
         if isinstance(obj, dict):
-            values = [obj.get(col) for col in columns]
+            named = obj.items()
     escaped = re.compile("[\udc80-\udcff]")
-    field = next((col for col, val in zip(columns, values) if isinstance(val, str) and escaped.search(val)), None)
+    field = next((name for name, val in named if isinstance(val, str) and escaped.search(val)), None)
     return SchemaError(f"not UTF-8: byte 0x{byte:02x}", line=lineno, field=field)
 
 

@@ -33,7 +33,6 @@ analysis here consumes the network.
 
 from __future__ import annotations
 
-import csv
 import math
 from array import array
 from bisect import bisect_left
@@ -42,7 +41,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .events import DirectedInteraction, DirectedInteractionLog
+from .events import DirectedInteraction, DirectedInteractionLog, _write_csv
 
 
 class InvalidEdgeError(ValueError):
@@ -446,13 +445,8 @@ class TemporalGraph:
 
     def to_edge_csv(self, path, header_comment: str | None = None) -> None:
         """Write the full edge list as source,target,first_time,interaction_count."""
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["source", "target", "first_time", "interaction_count"])
-            for src, dst, t, count in self.edges():
-                writer.writerow([self._label(src), self._label(dst), t, count])
+        rows = ((self._label(src), self._label(dst), t, count) for src, dst, t, count in self.edges())
+        _write_csv(path, ("source", "target", "first_time", "interaction_count"), rows, header_comment)
 
 
 def build(interactions, extra_nodes=None) -> TemporalGraph:

@@ -17,7 +17,6 @@ first-edge reduction: ``extract_initiations`` reads the edges of ``build``.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import repeat
@@ -25,7 +24,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .events import SchemaError, _parse_int
+from .events import SchemaError, _csv_columns, _parse_int, _write_csv
 from .graph import ComponentState, InvalidEdgeError, TemporalGraph, _intern_records, _replay, build
 
 
@@ -288,41 +287,32 @@ def reciprocation_rate_by_role(initiations: list[Initiation], roles) -> dict:
 def write_initiations_csv(path, initiations: list[Initiation], label=None, header_comment: str | None = None) -> None:
     """Write initiator,receiver,time,itype,is_reciprocal,initiator_was_isolate."""
     label = label if label is not None else (lambda x: x)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["initiator", "receiver", "time", "itype", "is_reciprocal", "initiator_was_isolate"])
-        for ini in initiations:
-            writer.writerow(
-                [
-                    label(ini.initiator),
-                    label(ini.receiver),
-                    ini.time,
-                    "" if ini.itype is None else ini.itype.value,
-                    int(ini.is_reciprocal),
-                    int(ini.initiator_was_isolate),
-                ]
-            )
+    rows = (
+        (
+            label(ini.initiator),
+            label(ini.receiver),
+            ini.time,
+            "" if ini.itype is None else ini.itype.value,
+            int(ini.is_reciprocal),
+            int(ini.initiator_was_isolate),
+        )
+        for ini in initiations
+    )
+    _write_csv(path, _CSV_COLUMNS, rows, header_comment)
 
 
 def read_initiations_csv(path) -> list[Initiation]:
     """Read back an initiations CSV (author ids stay strings); a bad value is a SchemaError with line and field."""
     out: list[Initiation] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        first = fh.readline()
-        skipped = first.startswith("#")
-        if not skipped:
-            fh.seek(0)
-        reader = csv.DictReader(fh)
-        for row in reader:
-            line = reader.line_num + skipped
-            if row["itype"] not in _ITYPES:
-                raise SchemaError(f"unknown initiation type: {row['itype']!r}", line=line, field="itype")
-            t = _parse_int(row["time"], line, "time", minimum=-(2**63))
-            flags = [bool(_parse_int(row[f], line, f)) for f in ("is_reciprocal", "initiator_was_isolate")]
-            out.append(Initiation(row["initiator"], row["receiver"], t, _ITYPES[row["itype"]], *flags))
+    lines, cols = _csv_columns(path, _CSV_COLUMNS)
+    for line, initiator, receiver, t, itype, *flags in zip(lines, *(cols[name] for name in _CSV_COLUMNS)):
+        if itype not in _ITYPES:
+            raise SchemaError(f"unknown initiation type: {itype!r}", line=line, field="itype")
+        t = _parse_int(t, line, "time", minimum=-(2**63))
+        flags = [bool(_parse_int(flag, line, name)) for flag, name in zip(flags, _CSV_COLUMNS[4:])]
+        out.append(Initiation(initiator, receiver, t, _ITYPES[itype], *flags))
     return out
 
 
+_CSV_COLUMNS = ("initiator", "receiver", "time", "itype", "is_reciprocal", "initiator_was_isolate")
 _ITYPES = {"": None, **{itype.value: itype for itype in InitiationType}}

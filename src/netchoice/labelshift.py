@@ -12,7 +12,6 @@ renormalized.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -67,9 +66,6 @@ class ShiftEstimate:
             "target_marginal": [float(m) for m in self.target_marginal],
             "condition_number": float(self.condition_number),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def confusion_from_holdout(predictions, labels, classes=None) -> ConfusionJoint:

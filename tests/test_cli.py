@@ -1,11 +1,16 @@
+import copy
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import netchoice
 from netchoice.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, derive_seed, main
 
 INTERACTIONS = """actor_id,site_id,kind,timestamp,update_id
@@ -37,6 +42,13 @@ d,s4,ud1,50,CG
 GEO = "author_id,timestamp,state\n" + "".join(
     f"a,{i},MN\n" for i in range(12)
 ) + "".join(f"b,{i},MN\n" for i in range(12)) + "".join(f"c,{i},CA\n" for i in range(12))
+
+INITIATIONS = """# config_hash=0
+initiator,receiver,time,itype,is_reciprocal,initiator_was_isolate
+a,b,5,joining_isolates,1,1
+b,a,6,intra_component,1,0
+c,a,9,joining_component,0,1
+"""
 
 SITES = """site_id,health_condition,created
 s1,Cancer,10
@@ -301,6 +313,33 @@ class TestExitCodes:
         assert run(["report", "--initiations", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
         assert "line 2, field 'time'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, files, where",
+        [
+            ("fit-ols", {"--data": "y,x\n1,2\n3\n2,4\n"}, "line 3, field 'x'"),
+            ("fit-ols", {"--data": "y,x\n1,2\n2,abc\n3,5\n"}, "line 3, field 'x'"),
+            ("kappa", {"--labels": "rater_a,rater_b\n0,0\n1\n"}, "line 3, field 'rater_b'"),
+            ("bbse", {"--holdout": "prediction,label\nCG,CG\nP\n", "--target-marginal": "[0.5, 0.5]"},
+             "line 3, field 'label'"),
+            ("bbse", {"--holdout": "prediction,label\nCG,CG\nP,P\n", "--target-marginal": '{"a": 0.5, "b": 0.5}'},
+             "line 1"),
+            ("report", {"--initiations": INITIATIONS, "--fit": "[1]"}, "line 1"),
+            ("report", {"--initiations": INITIATIONS, "--authors": "id,state\na,MN\n"}, "field 'author_id'"),
+        ],
+        ids=["data-short-row", "data-not-a-number", "labels-short-row", "holdout-short-row",
+             "marginal-not-a-list", "fit-not-an-object", "authors-without-author-id"],
+    )
+    def test_input_file_error_names_its_line(self, tmp_path, capsys, command, files, where):
+        argv = [command, "--out-dir", str(tmp_path / "out")]
+        if command == "fit-ols":
+            argv += ["--outcome", "y", "--features", "x"]
+        for i, (flag, text) in enumerate(files.items()):
+            path = tmp_path / f"input{i}"
+            path.write_text(text)
+            argv += [flag, str(path)]
+        assert run(argv) == EXIT_VALIDATION
+        assert where in capsys.readouterr().err
+
     def test_bad_config_key_is_1(self, world, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("not_a_key=1\n")
@@ -361,3 +400,177 @@ def _window_config(tmp_path, start, end):
     cfg = tmp_path / "window.cfg"
     cfg.write_text(f"window_start={start}\nwindow_end={end}\n")
     return cfg
+
+
+def test_artifacts_are_utf8_under_an_ascii_locale(tmp_path):
+    # The logs are read as UTF-8, so the artifacts are written as UTF-8 too,
+    # whatever the locale's encoding.
+    (tmp_path / "interactions.csv").write_text(INTERACTIONS.replace("\nd,", "\nzoë,"), encoding="utf-8")
+    (tmp_path / "updates.csv").write_text(UPDATES.replace("\nd,", "\nzoë,"), encoding="utf-8")
+    src = str(Path(netchoice.__file__).resolve().parents[1])
+    outputs = {}
+    for name, locale_env in [
+        ("ascii", {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}),
+        ("utf8", {"PYTHONUTF8": "1"}),
+    ]:
+        env = {**os.environ, **locale_env, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = tmp_path / name
+        for command in ("project", "network", "authors"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "netchoice.cli", command, "--interactions", "interactions.csv",
+                 "--updates", "updates.csv", "--out-dir", str(out)],
+                cwd=tmp_path, env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == EXIT_OK, (name, command, proc.stderr)
+        outputs[name] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert len(outputs["ascii"]) == 6
+    assert outputs["ascii"] == outputs["utf8"]
+    assert "zoë".encode() in outputs["ascii"]["authors.csv"]
+
+
+# -- reader fuzz ----------------------------------------------------------------
+# Each input file of a subcommand is a CSV table (rows of cells), a JSON-lines
+# file (a list of objects) or one JSON value, and is mutated in one way.
+
+FUZZ_DATA = "y,x,z,w\n" + "".join(
+    f"{int(i % 3 == 0 or i % 5 == 1)},{i / 7:.3f},{(i * 37) % 11 / 4:.2f},{i % 4}\n" for i in range(40)
+)
+FUZZ_CHOICES = [{"meta": {"config_hash": "0", "n_negatives": 1}}] + [
+    {"chooser": "c", "time": t, "alternatives": ["p", "q"], "chosen": int(t % 3 == 2),
+     "X": [[1.0, 0.5], [0.0, float(t % 2)]], "feature_names": ["x", "y"]}
+    for t in range(12)
+]
+FUZZ_MODEL = {
+    "feature_names": ["x", "y"], "coefficients": [1.1, -0.4], "std_errors": [0.8, 0.3], "loglik": -5.2,
+    "n_obs": 8, "converged": True, "iterations": 5, "kind": "mnl", "n_train": 8, "config_hash": "0",
+}
+FUZZ_AUTHORS = (
+    "# config_hash=0\nauthor_id,role,is_shared,health_condition,state,first_update_time\n"
+    "a,CG,0,Cancer,MN,100\nb,P,0,Cancer,MN,150\nc,Mixed,1,Injury,CA,120\n"
+)
+FUZZ_HOLDOUT = "prediction,label\n" + "CG,CG\n" * 20 + "P,CG\n" * 5 + "P,P\n" * 20 + "CG,P\n" * 5
+FUZZ_LABELS = "rater_a,rater_b\n" + "0,0\n" * 10 + "0,1\n" * 3 + "1,0\n" * 4 + "1,1\n" * 8
+
+# subcommand -> (extra arguments, {flag: base input}); a str input is a CSV table.
+FUZZ_COMMANDS = {
+    "fit-mnl": ([], {"--choices": FUZZ_CHOICES}),
+    "fit-logit": (["--outcome", "y", "--features", "x,z"], {"--data": FUZZ_DATA}),
+    "fit-ols": (["--outcome", "y", "--features", "x,z"], {"--data": FUZZ_DATA}),
+    "bbse": ([], {"--holdout": FUZZ_HOLDOUT, "--target-marginal": [0.35, 0.65]}),
+    "kappa": ([], {"--labels": FUZZ_LABELS}),
+    "report": ([], {"--initiations": INITIATIONS, "--authors": FUZZ_AUTHORS, "--fit": FUZZ_MODEL}),
+    "authors": ([], {"--updates": UPDATES, "--geo-posts": GEO, "--site-conditions": SITES}),
+}
+FUZZ_TARGETS = [(command, flag) for command, (_, inputs) in FUZZ_COMMANDS.items() for flag in inputs]
+
+
+def number_paths(value, path=()):
+    """Paths to the int and float leaves of a JSON value."""
+    if isinstance(value, dict):
+        return [p for key, item in value.items() for p in number_paths(item, (*path, key))]
+    if isinstance(value, list):
+        return [p for i, item in enumerate(value) for p in number_paths(item, (*path, i))]
+    return [path] if type(value) in (int, float) else []
+
+
+def is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def mutate_table(text, mutation, draw):
+    comment = text.startswith("#")
+    lines = text.splitlines()
+    rows = [line.split(",") for line in lines[comment:]]
+    if mutation in ("drop_field", "extra_field"):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if mutation == "extra_field":
+            row.append("x")
+        else:
+            row.pop()
+    elif mutation == "missing_column":
+        col = draw(st.integers(0, len(rows[0]) - 1))
+        rows = [row[:col] + row[col + 1:] for row in rows]
+    elif mutation == "non_number":
+        cells = [(r, c) for r, row in enumerate(rows[1:], 1) for c, cell in enumerate(row) if is_number(cell)]
+        if cells:
+            r, c = draw(st.sampled_from(cells))
+            rows[r][c] = "abc"
+    return "".join(line + "\n" for line in lines[:comment] + [",".join(row) for row in rows])
+
+
+def mutate_json(value, mutation, draw):
+    """The mutated text of a JSON value: a list of objects is a JSON-lines file."""
+    lines = isinstance(value, list) and isinstance(value[0], dict)
+    value = copy.deepcopy(value)
+    objects = [value] if not lines else value
+    if mutation in ("drop_field", "extra_field", "not_object") and isinstance(objects[0], dict):
+        i = draw(st.integers(0, len(objects) - 1))
+        if mutation == "drop_field":
+            del objects[i][draw(st.sampled_from(sorted(objects[i])))]
+        elif mutation == "extra_field":
+            objects[i]["extra"] = 1
+        else:
+            objects[i] = [1]
+    elif mutation == "not_object":
+        objects[0] = {"a": 0.5, "b": 0.5}
+    elif mutation == "missing_column" and lines:
+        key = draw(st.sampled_from(sorted(objects[1])))
+        for obj in objects:
+            obj.pop(key, None)
+    elif mutation == "non_number":
+        paths = number_paths(objects)
+        if paths:
+            *parents, last = draw(st.sampled_from(paths))
+            target = objects
+            for key in parents:
+                target = target[key]
+            target[last] = "abc"
+    return json_text(objects if lines else objects[0])
+
+
+def json_text(value):
+    """A list of objects as JSON lines, anything else as one JSON value."""
+    if isinstance(value, list) and isinstance(value[0], dict):
+        return "".join(json.dumps(obj) + "\n" for obj in value)
+    return json.dumps(value, indent=2) + "\n"
+
+
+MUTATIONS = ("drop_field", "extra_field", "bad_byte", "comment", "missing_column", "non_number", "not_object")
+
+
+def test_reader_fuzz(tmp_path, capsys):
+    """Every subcommand that reads a file, on one mutated input: exit 0, or
+    exit 1 naming a line; nothing escapes main and no traceback is printed."""
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(FUZZ_TARGETS), st.sampled_from(MUTATIONS), st.data())
+    def check(target, mutation, data):
+        command, mutated_flag = target
+        extra, inputs = FUZZ_COMMANDS[command]
+        argv = [command, *extra]
+        for i, (flag, value) in enumerate(inputs.items()):
+            if flag != mutated_flag or mutation in ("bad_byte", "comment"):
+                text = value if isinstance(value, str) else json_text(value)
+            elif isinstance(value, str):
+                text = mutate_table(value, mutation, data.draw)
+            else:
+                text = mutate_json(value, mutation, data.draw)
+            raw = text.encode()
+            if flag == mutated_flag and mutation == "bad_byte":
+                at = data.draw(st.integers(0, len(raw)))
+                raw = raw[:at] + b"\xff" + raw[at:]
+            elif flag == mutated_flag and mutation == "comment":
+                raw = b"# a comment\n" + raw
+            path = tmp_path / f"input{i}"
+            path.write_bytes(raw)
+            argv += [flag, str(path)]
+        capsys.readouterr()
+        code = main([*argv, "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert code == EXIT_OK or (code == EXIT_VALIDATION and "line" in err), (code, err)
+
+    check()

@@ -830,3 +830,16 @@ class TestNotUtf8:
         path = tmp_path / "ev.jsonl"
         path.write_bytes(b'{"actor_id": "a"}\n{"\xff": 1\n')
         assert_schema_error(lambda: load_events(path, "json-lines"), 2, None)
+
+
+def test_csv_line_numbers_count_lines_inside_quotes(tmp_path):
+    # A quoted field may hold a newline; errors name the physical line.
+    path = tmp_path / "ev.csv"
+    path.write_text(HEADER + '"a\nb",s1,guestbook,1,\n' + "c,s1,visit,2,\n")
+    assert_schema_error(lambda: load_events(path), 4, "kind")
+
+
+def test_log_starting_with_a_comment_line_is_a_header_error(tmp_path):
+    path = tmp_path / "ev.csv"
+    path.write_text("# config_hash=0\n" + HEADER + "a,s1,guestbook,1,\n")
+    assert_schema_error(lambda: load_events(path), 1, None)

@@ -87,3 +87,38 @@ def test_no_union_find_in_package():
     assert paths
     found = [hit for path in paths for hit in union_find_calls(path)]
     assert not found, f"UnionFind calls (replay through graph._replay): {', '.join(found)}"
+
+
+READERS = {"csv": ("reader", "DictReader"), "json": ("load", "loads")}
+
+
+def reader_calls(path):
+    """``file:line`` of every call of, or import from its module of, ``csv.reader``,
+    ``csv.DictReader``, ``json.load`` or ``json.loads``."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module in READERS:
+            if any(alias.name in READERS[node.module] for alias in node.names):
+                yield f"{path.name}:{node.lineno}"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            if isinstance(owner, ast.Name) and node.func.attr in READERS.get(owner.id, ()):
+                yield f"{path.name}:{node.lineno}"
+
+
+def test_scanner_flags_reader_calls(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "r = csv.reader(fh)\nw = csv.writer(fh)\nd = csv.DictReader(fh)\nj = json.loads(t)\n"
+        "s = json.dumps(o)\nfrom json import load\nfrom csv import writer\nk = json.load(fh)\n"
+    )
+    assert sorted(reader_calls(path)) == ["mod.py:1", "mod.py:3", "mod.py:4", "mod.py:6", "mod.py:8"]
+
+
+def test_files_are_read_only_in_events():
+    # events.py holds the one CSV row reader and the JSON readers, which open
+    # UTF-8 and name the line of whatever they cannot read; a second reader
+    # elsewhere would be a second rule for turning a file into rows.
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "events.py"]
+    assert paths
+    found = [hit for path in paths for hit in reader_calls(path)]
+    assert not found, f"file readers outside events.py (use its readers): {', '.join(found)}"
