@@ -17,10 +17,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .events import UpdateLog, _csv_columns, _parse_int, _site_authors, _write_csv
+from .events import UpdateLog, _csv_columns, _parse_int, _site_authors, _sorted_unique, _write_csv
 
 SECONDS_PER_DAY = 86_400.0
 DAYS_PER_MONTH = 30.44
@@ -28,6 +29,7 @@ DAYS_PER_MONTH = 30.44
 ROLE_PATIENT = "P"
 ROLE_CAREGIVER = "CG"
 ROLE_MIXED = "Mixed"
+_ROLES = (None, ROLE_CAREGIVER, ROLE_MIXED, ROLE_PATIENT)  # a role's code is its index
 
 CONDITION_UNKNOWN = "Condition Unknown"
 
@@ -202,13 +204,18 @@ class AuthorDirectory:
         keys = self._keys(codes, log.vocab.authors)
         self._row = dict(zip(keys, range(n)))
 
-        # Row r's update times, sorted, are _times[_time_bounds[r]:_time_bounds[r + 1]].
+        # Row r's update times, sorted, are _times[_time_bounds[r]:_time_bounds[r + 1]];
+        # one more time pads the end. A time's key is its row times _width
+        # plus its dense rank among _distinct_times.
         upd_row = row_of[log.author]
-        times = log.timestamp[np.lexsort((log.timestamp, upd_row))]
-        bounds = np.concatenate(([0], np.cumsum(np.bincount(upd_row, minlength=n))))
-        self._times = times.tolist()
-        self._time_bounds = bounds.tolist()
-        self._first_times = {a: t for t, a in sorted(zip(times[bounds[:-1]].tolist(), keys))}
+        order = np.lexsort((log.timestamp, upd_row))
+        times = log.timestamp[order]
+        self._times = np.append(times, 0)
+        self._time_bounds = np.concatenate(([0], np.cumsum(np.bincount(upd_row, minlength=n))))
+        self._distinct_times = _sorted_unique(times)
+        self._width = len(self._distinct_times) + 1
+        self._time_keys = upd_row[order] * self._width + np.searchsorted(self._distinct_times, times)
+        self._first_times = {a: t for t, a in sorted(zip(times[self._time_bounds[:-1]].tolist(), keys))}
 
         # Row r's sites by first update time, with those times, are
         # _sites/_site_firsts[_site_bounds[r]:_site_bounds[r + 1]].
@@ -224,7 +231,7 @@ class AuthorDirectory:
         n_labeled = np.add.reduceat(labeled[by_author], lo)
         n_patient = np.add.reduceat(patient[by_author], lo)
         role = np.select([n_labeled == 0, 3 * n_patient < n_labeled, 3 * n_patient <= 2 * n_labeled], [0, 1, 2], 3)
-        self._roles = np.array([None, ROLE_CAREGIVER, ROLE_MIXED, ROLE_PATIENT], dtype=object)[role].tolist()
+        self._roles = np.array(_ROLES, dtype=object)[role].tolist()
         fraction = patient / np.maximum(labeled, 1)
         in_band = (labeled > 0) & (fraction >= 1.0 / 3.0) & (fraction <= 2.0 / 3.0)  # as shared_account
         self._shared = (np.bincount(row[in_band], minlength=n) > 0).tolist()
@@ -237,9 +244,10 @@ class AuthorDirectory:
         has_second = np.searchsorted(site, site, side="right") - block >= 2
         second = site_first[np.minimum(block + 1, len(site) - 1)]
         mixed_at = np.where(has_second, np.maximum(site_first, second), np.iinfo(np.int64).max)
-        mixed_from = np.minimum.reduceat(mixed_at[by_author], lo).astype(object)
-        mixed_from[np.bincount(row[has_second], minlength=n) == 0] = math.inf
-        self._mixed_from = mixed_from.tolist()
+        mixed_from = np.minimum.reduceat(mixed_at[by_author], lo)
+        listed = mixed_from.astype(object)
+        listed[np.bincount(row[has_second], minlength=n) == 0] = math.inf
+        self._mixed_from = listed.tolist()
 
         self._conditions = [None] * n
         conditions = self._site_codes(log, site_conditions)
@@ -249,6 +257,22 @@ class AuthorDirectory:
         self._states: dict = {}
         if geo_posts:
             self._assign_states(geo_posts)
+
+        # Per-row feature columns with one more row, n, standing for a key the
+        # directory lacks. Codes: roles index _ROLES; conditions and
+        # states count from 1 in order of first appearance, 0 for none. An
+        # author's time of its second site, or of becoming mixed-site, is the
+        # int64 maximum when there is none: no time lies after it.
+        never = np.iinfo(np.int64).max
+        self._role_codes = np.append(role, 0).astype(np.int8)
+        names: dict = {None: 0}
+        self._condition_codes = np.array([names.setdefault(c, len(names)) for c in self._conditions] + [0], np.int32)
+        names = {None: 0}
+        self._state_codes = {author: names.setdefault(state, len(names)) for author, state in self._states.items()}
+        multisite = np.diff(self._site_bounds) >= 2
+        self._second_site_at = np.full(n + 1, never)
+        self._second_site_at[:n][multisite] = site_first[by_author][lo[multisite] + 1]
+        self._mixed_at = np.append(mixed_from, never)
 
     def _keys(self, codes, ids) -> list:
         """The directory's keys of ``codes``: the codes of a log, the ids of records."""
@@ -321,7 +345,7 @@ class AuthorDirectory:
 
     def first_update_time(self, author) -> int | None:
         row = self._row.get(author)
-        return None if row is None else self._times[self._time_bounds[row]]
+        return None if row is None else int(self._times[self._time_bounds[row]])
 
     def first_update_times(self) -> dict:
         """author -> first update time, ordered by (time, author), e.g. for
@@ -348,6 +372,37 @@ class AuthorDirectory:
         sa, sb = self._states.get(a), self._states.get(b)
         return int(sa is not None and sa == sb)
 
+    def _feature_rows(self, keys) -> np.ndarray:
+        """The row of each key, or the extra row n when the directory lacks it."""
+        n = len(self._row)
+        return np.fromiter(map(self._row.get, keys, repeat(n)), dtype=np.int64, count=len(keys))
+
+    def _state_code_column(self, keys) -> np.ndarray:
+        return np.fromiter(map(self._state_codes.get, keys, repeat(0)), dtype=np.int64, count=len(keys))
+
+    def _activity_columns(self, rows, t) -> tuple[np.ndarray, ...]:
+        """:meth:`activity_features` of each ``rows[i]`` at ``t[i]``, as columns
+        (update count, frequency, days since most recent, days since first,
+        multisite, mixed-site), bit-equal to it."""
+        lo = self._time_bounds[rows]
+        count = np.searchsorted(self._time_keys, rows * self._width + np.searchsorted(self._distinct_times, t)) - lo
+        active = count > 0
+        # An active row's first and latest times lie before t, so t minus
+        # either is in [1, 2**64): exact in uint64, and rounded to float once,
+        # as Python rounds the exact int difference.
+        t_bits = t.astype(np.uint64)
+        since_first = (t_bits - self._times[lo].astype(np.uint64)).astype(np.float64)
+        since_latest = (t_bits - self._times[lo + count - 1].astype(np.uint64)).astype(np.float64)
+        months = np.maximum(since_first, SECONDS_PER_DAY) / (SECONDS_PER_DAY * DAYS_PER_MONTH)
+        return (
+            count,
+            np.where(active, count / months, 0.0),
+            np.where(active, since_latest / SECONDS_PER_DAY, 0.0),
+            np.where(active, since_first / SECONDS_PER_DAY, 0.0),
+            active & (self._second_site_at[rows] < t),
+            active & (self._mixed_at[rows] < t),
+        )
+
     def record(self, author) -> AuthorRecord:
         return AuthorRecord(
             author_id=author,
@@ -368,12 +423,11 @@ class AuthorDirectory:
         row = self._row.get(author)
         if row is None:
             return _ZERO_ACTIVITY
-        lo = self._time_bounds[row]
-        count = bisect_left(self._times, t, lo, self._time_bounds[row + 1]) - lo
+        lo, hi = int(self._time_bounds[row]), int(self._time_bounds[row + 1])
+        count = bisect_left(self._times, t, lo, hi) - lo
         if count == 0:
             return _ZERO_ACTIVITY
-        first = self._times[lo]
-        latest = self._times[lo + count - 1]
+        first, latest = int(self._times[lo]), int(self._times[lo + count - 1])
         tenure_seconds = max(t - first, SECONDS_PER_DAY)
         tenure_months = tenure_seconds / (SECONDS_PER_DAY * DAYS_PER_MONTH)
         second_site = self._site_bounds[row] + 1  # sites are in first-update order

@@ -13,16 +13,17 @@ coefficients, used to validate the conditional-logit estimator end to end.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, compress, islice
 
 import numpy as np
 
-from .authors import _ZERO_ACTIVITY, AuthorDirectory, ROLE_MIXED, ROLE_PATIENT
-from .events import SchemaError, _json_lines
+from .authors import _ROLES, AuthorDirectory, ROLE_MIXED, ROLE_PATIENT
+from .events import SchemaError, _json_lines, _sorted_unique
 from .graph import TemporalGraph
 
 FEATURE_NAMES = (
@@ -47,6 +48,9 @@ STATE_FEATURE = "is_state_assignment_shared"
 
 NETWORK_FEATURE_NAMES = FEATURE_NAMES[:6]
 
+_ROLE_MIXED, _ROLE_PATIENT = _ROLES.index(ROLE_MIXED), _ROLES.index(ROLE_PATIENT)
+
+_WRITE_BATCH = 128  # instances whose X are rendered together by write_choice_sets
 _DRAW_BATCH = 64  # indices per rng call in sample_negatives; fixed, so draws never depend on n
 
 
@@ -164,6 +168,12 @@ def censored_log(x: float, minimum: float) -> float:
     return math.log(max(x, minimum))
 
 
+@functools.cache
+def _censored_logs(n: int) -> np.ndarray:
+    """censored_log(k, 1.0) for every k below n."""
+    return np.array([censored_log(k, 1.0) for k in range(n)])
+
+
 def build_features(
     chooser,
     candidate,
@@ -191,61 +201,115 @@ def choice_set_features(
 ) -> np.ndarray:
     """Feature matrix of one choice set: row ``i`` describes ``alternatives[i]`` at ``t``.
 
-    Advances the graph cursor to ``t`` (it must not already be past it). The
-    chooser's side -- in-neighbours, undirected neighbours and weak-component
-    root -- is read once, so each row's network columns cost O(1) plus the
-    alternative's degree.
+    Advances the graph cursor to ``t`` (it must not already be past it),
+    records the set there and runs the feature kernel on it. An alternative
+    with no activity at any time raises UnknownCandidateError.
     """
     graph.advance_to(t)
-    targets, sources = graph.adjacency(chooser)
-    chooser_in = set(sources)
-    chooser_und = chooser_in.union(targets)
-    chooser_root = graph.wcc_root(chooser)
-    chooser_role = directory.role(chooser) if directory is not None else None
-    rows = []
-    for candidate in alternatives:
-        if directory is None or candidate not in directory:
-            if graph.activation_time(candidate) is None:
-                raise UnknownCandidateError(f"candidate {candidate!r} has no activity at any time")
-        cand_targets, cand_sources = graph.adjacency(candidate)
-        out_deg, in_deg = len(cand_targets), len(cand_sources)
-        if directory is not None:
-            role = directory.role(candidate)
-            activity = directory.activity_features(candidate, t)
-            shared_condition = directory.shared_condition(chooser, candidate)
-        else:
-            role = None
-            activity = _ZERO_ACTIVITY
-            shared_condition = 0
-        # A common undirected neighbour is never the candidate or the chooser
-        # themselves: the graph has no self-edges.
-        friend_of_friend = not (chooser_und.isdisjoint(cand_targets) and chooser_und.isdisjoint(cand_sources))
-        values = [
-            censored_log(out_deg, 1.0),
-            float(in_deg > 0),
-            censored_log(in_deg, 1.0),
-            float(candidate in chooser_in),
-            float(candidate == chooser or graph.wcc_root(candidate) == chooser_root),
-            float(friend_of_friend),
-            float(role == ROLE_MIXED),
-            float(role == ROLE_PATIENT),
-            float(role is not None and role == chooser_role),
-            float(shared_condition),
-            float(activity.is_multisite),
-            float(activity.is_mixedsite),
-            float(activity.update_count),
-            activity.update_frequency,
-            activity.days_since_most_recent_update,
-            activity.days_since_first_update,
-        ]
-        if include_state:
-            values.append(float(directory.shared_state(chooser, candidate)) if directory is not None else 0.0)
-        rows.append(values)
-    return np.array(rows, dtype=np.float64).reshape(len(rows), len(feature_names(include_state)))
+    known = _known(alternatives, graph, directory)
+    if not all(known):
+        raise UnknownCandidateError(f"candidate {alternatives[known.index(False)]!r} has no activity at any time")
+    return _set_features([_record(graph, chooser, t, alternatives)], graph, directory, include_state)
 
 
 def feature_names(include_state: bool = False) -> tuple:
     return FEATURE_NAMES + (STATE_FEATURE,) if include_state else FEATURE_NAMES
+
+
+def _known(nodes, graph: TemporalGraph, directory: AuthorDirectory | None) -> list[bool]:
+    """Whether each node has activity at some time: an activation on the graph or a directory entry."""
+    return [graph.activation_time(x) is not None or (directory is not None and x in directory) for x in nodes]
+
+
+# -- the feature kernel ----------------------------------------------------------
+#
+# The sequential loops (build_choice_sets, initiation_features, and
+# choice_set_features for one set) hold the cursor. At a set's time each
+# records what depends on the cursor: the weak-component root of the chooser
+# and of every alternative. Every other column is a lookup by (node, t) in the
+# graph's edge index or the directory's columns, so _set_features computes
+# them for all rows of a block of sets at once.
+
+_BLOCK_ROWS = 1024  # rows per kernel call; bounds the kernel's temporaries
+
+
+def _record(graph: TemporalGraph, chooser, t, alternatives) -> tuple:
+    """(t, keys, codes, component roots) of a set at the cursor ``t``; keys are the chooser and the alternatives."""
+    keys = [chooser, *alternatives]
+    codes = graph._codes(keys)
+    return t, keys, codes, graph._components(codes)
+
+
+def _blocks(records, graph, directory, include_state):
+    """(record, feature matrix) of each record of ``records``, computed about
+    _BLOCK_ROWS rows at a time. ``records`` is consumed lazily, so the
+    generator behind it keeps moving the cursor between blocks."""
+    block, rows = [], 0
+    for record in records:
+        block.append(record)
+        rows += len(record[1]) - 1
+        if rows >= _BLOCK_ROWS:
+            yield from _featurized(block, graph, directory, include_state)
+            block, rows = [], 0
+    if block:
+        yield from _featurized(block, graph, directory, include_state)
+
+
+def _featurized(block, graph, directory, include_state):
+    """Each record of ``block`` with its rows of the kernel's matrix."""
+    X = _set_features(block, graph, directory, include_state)
+    return zip(block, np.split(X, np.cumsum([len(keys) - 1 for _, keys, _, _ in block])[:-1]))
+
+
+def _set_features(records, graph: TemporalGraph, directory: AuthorDirectory | None, include_state) -> np.ndarray:
+    """Feature rows of every alternative of ``records`` (from :func:`_record`), stacked in order.
+
+    Bit-equal to the per-pair definitions: degrees count the edges before
+    each row's t, logs come from :func:`censored_log`, and the directory
+    columns from ``AuthorDirectory._activity_columns``. Every node of a set,
+    its chooser first, is a query; the choosers' rows are dropped at the end.
+    """
+    sizes = np.array([len(r[1]) for r in records])
+    head = (sizes.cumsum() - sizes).repeat(sizes)  # each query's chooser's query, which stands for its set
+    alternative = head != np.arange(len(head))
+
+    def column(i):
+        return np.fromiter(chain.from_iterable(r[i] for r in records), dtype=np.int64, count=len(head))
+
+    codes, roots = column(2), column(3)
+    t = np.array([r[0] for r in records], dtype=np.int64).repeat(sizes)
+    X = np.zeros((len(head), len(feature_names(include_state))))
+    X[:, 4] = roots == roots[head]
+    # A query's edge to w before t is keyed (its set's head) * span + w. An
+    # alternative is reciprocal when it has an edge to its chooser, and a
+    # friend of friend when some key of its edges is a key of its chooser's:
+    # a common neighbour, with no self-edges never the chooser or itself.
+    index = graph._row_index()
+    degrees, i, w = index.adjacent(codes, t)
+    outgoing = i < len(codes)
+    i %= len(codes)
+    X[i[outgoing & (w == codes[head][i])], 3] = 1.0
+    key = head[i] * (max(int(codes.max()), index.n_codes) + 1) + w
+    mine = alternative[i]
+    table, near = np.sort(key[~mine]), key[mine]
+    X[i[mine][table.searchsorted(near, "right") > table.searchsorted(near)], 5] = 1.0
+    logs = _censored_logs(int(degrees.max()) + 1)
+    X[:, 0], X[:, 1], X[:, 2] = logs[degrees[0]], degrees[1] > 0, logs[degrees[1]]
+    if directory is not None:
+        keys = list(chain.from_iterable(r[1] for r in records))
+        rows = directory._feature_rows(keys)
+        role, condition = directory._role_codes[rows], directory._condition_codes[rows]
+        X[:, 6], X[:, 7] = role == _ROLE_MIXED, role == _ROLE_PATIENT
+        X[:, 8] = (role != 0) & (role == role[head])
+        X[:, 9] = (condition != 0) & (condition == condition[head])
+        count, frequency, recent, since_first, multisite, mixedsite = directory._activity_columns(rows, t)
+        X[:, 10], X[:, 11], X[:, 12], X[:, 13], X[:, 14], X[:, 15] = (
+            multisite, mixedsite, count, frequency, recent, since_first
+        )
+        if include_state:
+            state = directory._state_code_column(keys)
+            X[:, 16] = (state != 0) & (state == state[head])
+    return X[alternative]
 
 
 def build_choice_sets(
@@ -267,39 +331,63 @@ def build_choice_sets(
     set at ``t`` -- the set :func:`eligible_candidates` returns -- is then
     the graph's activation-ordered prefix minus the chooser and the
     chooser's targets, and negatives are drawn from that prefix without
-    building the set.
+    building the set. The replay records each set; the feature kernel runs
+    on blocks of them.
     """
     names = feature_names(include_state)
-    instances: list[ChoiceInstance] = []
     skipped: list[SkippedChoice] = []
     if directory is not None:
         for author, first in directory.first_update_times().items():
             graph.register_node(author, first)
-    for index, ini in enumerate(initiations):
-        chooser, receiver, t = ini.initiator, ini.receiver, ini.time
-        graph.advance_to(t)
-        # Every target of the chooser is activated before t, so the excluded
-        # nodes all lie in the prefix and the pool size is exact.
-        exclude = graph.out_neighbors(chooser)
-        receiver_at = graph.activation_time(receiver)
-        if receiver_at is None or receiver_at >= t or receiver == chooser or receiver in exclude:
-            skipped.append(SkippedChoice(chooser, receiver, t, "receiver_not_eligible"))
-            continue
-        exclude.add(receiver)
-        chooser_at = graph.activation_time(chooser)
-        if chooser_at is not None and chooser_at < t:
-            exclude.add(chooser)
-        nodes, k = graph.activation_prefix(t)
-        if k == len(exclude):
-            skipped.append(SkippedChoice(chooser, receiver, t, "no_negatives"))
-            continue
-        seed = np.random.SeedSequence(sampler.seed, spawn_key=(index,))
-        alternatives = [receiver] + sample_negatives(nodes, sampler.n_negatives, seed, exclude, k)
-        X = choice_set_features(chooser, alternatives, t, graph, directory, include_state)
-        instances.append(
-            ChoiceInstance(chooser=chooser, time=t, alternatives=alternatives, chosen=0, X=X, feature_names=names)
-        )
+
+    def records():
+        for index, ini in enumerate(initiations):
+            chooser, receiver, t = ini.initiator, ini.receiver, ini.time
+            graph.advance_to(t)
+            # Every target of the chooser is activated before t, so the excluded
+            # nodes all lie in the prefix and the pool size is exact.
+            exclude = graph.out_neighbors(chooser)
+            receiver_at = graph.activation_time(receiver)
+            if receiver_at is None or receiver_at >= t or receiver == chooser or receiver in exclude:
+                skipped.append(SkippedChoice(chooser, receiver, t, "receiver_not_eligible"))
+                continue
+            exclude.add(receiver)
+            chooser_at = graph.activation_time(chooser)
+            if chooser_at is not None and chooser_at < t:
+                exclude.add(chooser)
+            nodes, k = graph.activation_prefix(t)
+            if k == len(exclude):
+                skipped.append(SkippedChoice(chooser, receiver, t, "no_negatives"))
+                continue
+            seed = np.random.SeedSequence(sampler.seed, spawn_key=(index,))
+            negatives = sample_negatives(nodes, sampler.n_negatives, seed, exclude, k)
+            yield _record(graph, chooser, t, [receiver] + negatives)
+
+    instances = [
+        ChoiceInstance(chooser=keys[0], time=t, alternatives=keys[1:], chosen=0, X=X, feature_names=names)
+        for (t, keys, _, _), X in _blocks(records(), graph, directory, include_state)
+    ]
     return instances, skipped
+
+
+def initiation_features(
+    initiations, graph: TemporalGraph, directory: AuthorDirectory | None, include_state: bool = False
+) -> tuple[list, np.ndarray]:
+    """Each initiation's receiver as an alternative of its initiator at the initiation's time.
+
+    Returns the initiations whose receiver has activity at some time, and
+    their feature rows. The initiations must be in time order; the graph
+    cursor advances through them.
+    """
+    kept = list(compress(initiations, _known([ini.receiver for ini in initiations], graph, directory)))
+
+    def records():
+        for ini in kept:
+            graph.advance_to(ini.time)
+            yield _record(graph, ini.initiator, ini.time, [ini.receiver])
+
+    rows = [X for _, X in _blocks(records(), graph, directory, include_state)]
+    return kept, np.concatenate(rows) if rows else np.zeros((0, len(feature_names(include_state))))
 
 
 def temporal_split(instances, train_fraction: float, window=None):
@@ -404,26 +492,46 @@ def synth_generate(config: SynthConfig) -> tuple[list[ChoiceInstance], TemporalG
 # -- serialization ---------------------------------------------------------------
 
 
-def write_choice_sets(path, instances, meta: dict | None = None) -> None:
-    """Write instances as JSON lines, optionally preceded by one meta line."""
+def write_choice_sets(path, instances, meta: dict | None = None, label=None) -> None:
+    """Write instances as JSON lines, optionally preceded by one meta line.
+
+    Each line is ``json.dumps(..., sort_keys=True)`` of the instance, with
+    the chooser and alternatives mapped through ``label`` when it is given.
+    ``X`` goes first, as "X" sorts first, and its text comes from
+    :func:`_matrix_texts`.
+    """
+    name = _plain if label is None else label
     with open(path, "w", encoding="utf-8") as fh:
         if meta is not None:
             fh.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
-        for inst in instances:
-            fh.write(
-                json.dumps(
-                    {
-                        "chooser": _plain(inst.chooser),
-                        "time": inst.time,
-                        "alternatives": [_plain(a) for a in inst.alternatives],
-                        "chosen": inst.chosen,
-                        "X": inst.X.tolist(),
-                        "feature_names": list(inst.feature_names),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        for start in range(0, len(instances), _WRITE_BATCH):
+            batch = instances[start : start + _WRITE_BATCH]
+            for inst, x_text in zip(batch, _matrix_texts([inst.X for inst in batch])):
+                rest = {
+                    "alternatives": [name(a) for a in inst.alternatives],
+                    "chooser": name(inst.chooser),
+                    "chosen": inst.chosen,
+                    "feature_names": list(inst.feature_names),
+                    "time": inst.time,
+                }
+                fh.write(f'{{"X": {x_text}, {json.dumps(rest, sort_keys=True)[1:]}\n')
+
+
+def _matrix_texts(matrices) -> list[str]:
+    """The ``json.dumps`` text of each float64 matrix, rendering ``repr`` once
+    per distinct bit pattern (so -0.0 and 0.0 stay apart)."""
+    bits = np.concatenate([m.ravel() for m in matrices]).view(np.uint64)
+    distinct = _sorted_unique(bits)
+    reprs = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    cells = reprs[np.searchsorted(distinct, bits)].tolist()
+    texts, at = [], 0
+    for m in matrices:
+        n_rows, n_cols = m.shape
+        end = at + n_rows * n_cols
+        rows = [", ".join(cells[i : i + n_cols]) for i in range(at, end, n_cols)] if n_cols else [""] * n_rows
+        texts.append("[[" + "], [".join(rows) + "]]")
+        at = end
+    return texts
 
 
 def read_choice_sets(path) -> tuple[list[ChoiceInstance], dict | None]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -382,27 +383,15 @@ def _cmd_features(cfg: RunConfig, args) -> int:
     g = graph_mod.build(interactions, extra_nodes=directory.first_update_times())
     inits = init_mod.initiations_from_interactions(g)
     names = choices_mod.feature_names(cfg.include_state)
-    vocab = interactions.vocab
-    rows = []
-    for ini in inits:
-        g.advance_to(ini.time)
-        try:
-            vec = choices_mod.build_features(
-                ini.initiator, ini.receiver, ini.time, g, directory, cfg.include_state
-            )
-        except choices_mod.UnknownCandidateError:
-            continue
-        rows.append(
-            [
-                vocab.authors.id(int(ini.initiator)),
-                vocab.authors.id(int(ini.receiver)),
-                ini.time,
-                *(f"{v:.10g}" for v in vec),
-            ]
-        )
+    kept, X = choices_mod.initiation_features(inits, g, directory, cfg.include_state)
+    label = interactions.vocab.authors.id
+    rows = (
+        [label(ini.initiator), label(ini.receiver), ini.time, *(f"{v:.10g}" for v in x)]
+        for ini, x in zip(kept, X.tolist())
+    )
     columns = ("initiator", "receiver", "time", *names)
     _write_csv(_out(cfg, "features.csv"), columns, rows, f"config_hash={cfg.config_hash()}")
-    print(f"features: {len(rows)} rows ({len(inits) - len(rows)} receivers not yet active)")
+    print(f"features: {len(kept)} rows ({len(inits) - len(kept)} receivers not yet active)")
     return EXIT_OK
 
 
@@ -413,18 +402,6 @@ def _cmd_sample(cfg: RunConfig, args) -> int:
     inits = init_mod.initiations_from_interactions(g)
     sampler = choices_mod.SamplerConfig(n_negatives=cfg.negatives, seed=derive_seed(cfg.seed, STAGE_SAMPLE))
     instances, skipped = choices_mod.build_choice_sets(inits, g, directory, sampler, cfg.include_state)
-    vocab = interactions.vocab
-    labeled = [
-        choices_mod.ChoiceInstance(
-            chooser=vocab.authors.id(int(inst.chooser)),
-            time=inst.time,
-            alternatives=[vocab.authors.id(int(a)) for a in inst.alternatives],
-            chosen=inst.chosen,
-            X=inst.X,
-            feature_names=inst.feature_names,
-        )
-        for inst in instances
-    ]
     skip_reasons: dict[str, int] = {}
     for s in skipped:
         skip_reasons[s.reason] = skip_reasons.get(s.reason, 0) + 1
@@ -434,7 +411,8 @@ def _cmd_sample(cfg: RunConfig, args) -> int:
         "n_negatives": cfg.negatives,
         "skipped": skip_reasons,
     }
-    choices_mod.write_choice_sets(_out(cfg, "choices.jsonl"), labeled, meta=meta)
+    label = interactions.vocab.authors.id
+    choices_mod.write_choice_sets(_out(cfg, "choices.jsonl"), instances, meta=meta, label=label)
     _write_json(
         _out(cfg, "sample_summary.json"),
         {"instances": len(instances), "skipped": skip_reasons, "initiations": len(inits)},
@@ -533,6 +511,9 @@ def _cmd_bbse(cfg: RunConfig, args) -> int:
     line, marginal = _json_file(args.target_marginal)
     if not isinstance(marginal, list) or not all(type(v) in (int, float) for v in marginal):
         raise SchemaError("expected a JSON list of numbers", line=line)
+    for k, v in enumerate(marginal):
+        if not _finite(v):
+            raise SchemaError(f"entry {k} of the list is not a finite number", line=line)
     confusion = labelshift.confusion_from_holdout(holdout["prediction"], holdout["label"])
     estimate = labelshift.estimate_shift(confusion, marginal)
     payload = estimate.to_json_dict()
@@ -541,6 +522,14 @@ def _cmd_bbse(cfg: RunConfig, args) -> int:
     corrected = ", ".join(f"{c}={q:.4f}" for c, q in zip(estimate.classes, estimate.corrected))
     print(f"bbse: corrected priors {corrected}")
     return EXIT_OK
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` converts to a finite float; an int too large for one does not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _cmd_kappa(cfg: RunConfig, args) -> int:
@@ -683,7 +672,7 @@ def main(argv=None) -> int:
             np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (SchemaError, UnresolvedAmpError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (SchemaError, UnresolvedAmpError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -16,14 +16,17 @@ endpoint's activation time and rejects self-edges. The edges are stored as
 ``array('q')`` code columns in (time, source, target) order, which
 ``append_edge`` grows. A graph whose nodes are not vocabulary codes also
 keeps a label table; node keys and codes are translated only when an edge is
-stored, a row is cut, a component root is read, and in ``edges()``, so every
-query is keyed by the node keys callers pass.
+stored, a row is cut, a component root is read, a choice set is recorded for
+the feature kernel, and in ``edges()``, so every query is keyed by the node
+keys callers pass.
 
 Adjacency is not replayed. Each node's out- and in-edges form rows sorted by
 (time, edge order), cut from one stable sort of the edge columns the first
 time the node is queried; a query reads the part of a row strictly before the
 cursor with one binary search. ``append_edge`` extends the cached rows of
-both endpoints, so the index is never rebuilt.
+both endpoints. The same index (``_RowIndex``) answers the choice-set feature
+kernel's array lookups at any time, not only the cursor's; an appended edge
+enters it in place, or it is built anew.
 
 Weak components come from ``_replay``, the union-find replay over int codes
 that initiation classification shares. It supports no deletion, so the
@@ -180,33 +183,87 @@ def _code_span(src_codes, dst_codes) -> int:
 
 
 class _RowIndex:
-    """Every node's out- and in-edges, sorted by (node code, time, edge order).
+    """Every node's out- and in-edges as rows in (time, edge order).
 
-    Edges are stored in time order, so a stable sort on the node code alone
-    keeps each row in (time, edge order).
+    With ``n`` the code capacity, row ``x`` holds the out-edges of code ``x``
+    and row ``n + 1 + x`` its in-edges; rows ``n`` and ``2n + 1`` stay empty
+    and stand for every code at or past ``n``. Row ``r`` fills the slots
+    ``starts[r]:stops[r]`` of its slots ``starts[r]:starts[r + 1]``. A filled
+    slot holds the edge's other end, and its key is its row times ``width``
+    plus the edge's place in the time-sorted edge columns; a free slot's key
+    is ``(r + 1) * width - 1``, above the keys of the row's edges. The edges
+    before ``t`` are the first ``searchsorted(times, t)``, so one
+    ``searchsorted`` of (row, that count) keys finds, for every query at
+    once, its row's edges before its own ``t``.
+
+    An index built with ``room`` leaves room for as many codes and edges
+    again as it holds (plus eight), and each row as many free slots as it
+    has edges (plus two), so :meth:`add` can index an appended edge in place
+    until its rows or the room run out.
     """
 
-    __slots__ = ("n_codes", "out_offsets", "out_times", "targets", "in_offsets", "in_times", "sources")
+    __slots__ = ("n_edges", "n_codes", "times", "width", "sides", "starts", "stops", "keys", "ends")
 
-    def __init__(self, times, src_codes, dst_codes):
-        self.n_codes = _code_span(src_codes, dst_codes)
-        order, offsets = _csr(src_codes, self.n_codes)
-        self.out_offsets, self.out_times, self.targets = offsets.tolist(), times[order], dst_codes[order]
-        order, offsets = _csr(dst_codes, self.n_codes)
-        self.in_offsets, self.in_times, self.sources = offsets.tolist(), times[order], src_codes[order]
+    def __init__(self, times, src_codes, dst_codes, room=False):
+        e, n = len(times), _code_span(src_codes, dst_codes)
+        n, capacity = (2 * n + 8, 2 * e + 8) if room else (n, e)
+        self.n_edges, self.n_codes, self.width = e, n, capacity + 1
+        self.times = np.concatenate((times, np.full(capacity - e, np.iinfo(np.int64).max))) if room else times
+        self.sides = np.array([[0], [n + 1]])  # a code's out- and in-row, less the code
+        keys = np.concatenate((src_codes, dst_codes + (n + 1)))  # rows, then keys
+        counts = np.bincount(keys, minlength=2 * n + 2)
+        keys *= self.width
+        keys[:e] += np.arange(e)
+        keys[e:] += np.arange(e)
+        order = keys.argsort()  # keys are unique
+        self.keys = keys[order]
+        keys[:e], keys[e:] = dst_codes, src_codes  # the buffer now holds each entry's other end
+        self.ends = keys[order]
+        del keys, order
+        slots = 2 * counts + 2 if room else counts
+        self.starts = np.concatenate(([0], slots.cumsum()))
+        self.stops = (self.starts[:-1] + counts).tolist()
+        if room:  # spread each row over its slots
+            at = np.arange(2 * e) + (self.starts[:-1] - counts.cumsum() + counts).repeat(counts)
+            keys, ends = self.keys, self.ends
+            self.keys = (np.arange(1, 2 * n + 3) * self.width - 1).repeat(slots)
+            self.ends = np.zeros(len(self.keys), dtype=np.int64)
+            self.keys[at], self.ends[at] = keys, ends
+
+    def add(self, time, src, dst) -> bool:
+        """Index in place an edge later than every indexed one; False when it does not fit."""
+        e, n, stops = self.n_edges, self.n_codes, self.stops
+        rows = (src, n + 1 + dst)
+        if e == len(self.times) or src >= n or dst >= n or any(stops[r] == self.starts[r + 1] for r in rows):
+            return False
+        self.times[e] = time
+        for row, end in zip(rows, (dst, src)):
+            at = stops[row]
+            self.keys[at], self.ends[at], stops[row] = row * self.width + e, end, at + 1
+        self.n_edges = e + 1
+        return True
 
     def row(self, code) -> tuple[list, list, list, list]:
         """(out times, target codes, in times, source codes) of ``code``, as fresh lists."""
         if code is None or code >= self.n_codes:
             return [], [], [], []
-        a, b = self.out_offsets[code], self.out_offsets[code + 1]
-        c, d = self.in_offsets[code], self.in_offsets[code + 1]
-        return (
-            self.out_times[a:b].tolist(),
-            self.targets[a:b].tolist(),
-            self.in_times[c:d].tolist(),
-            self.sources[c:d].tolist(),
-        )
+        return (*self._cut(code), *self._cut(self.n_codes + 1 + code))
+
+    def _cut(self, row) -> tuple[list, list]:
+        a, b = self.starts[row], self.stops[row]
+        return self.times[self.keys[a:b] % self.width].tolist(), self.ends[a:b].tolist()
+
+    def adjacent(self, codes, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The edges of each ``codes[i]`` before ``t[i]``, for n queries: the
+        (2, n) out- and in-degrees, and per edge ``i`` (plus n for an
+        in-edge) and its other end."""
+        rows = np.minimum(codes, self.n_codes) + self.sides
+        starts = self.starts[rows]
+        degrees = self.keys.searchsorted(rows * self.width + self.times.searchsorted(t)) - starts
+        # The gather's k-th edge lies at starts[i] plus k minus the edges of the queries before i.
+        i = np.arange(rows.size).repeat(degrees.ravel())
+        at = (starts - degrees.cumsum().reshape(rows.shape) + degrees).ravel().repeat(degrees.ravel())
+        return degrees, i, self.ends[at + np.arange(len(i))]
 
 
 class TemporalGraph:
@@ -256,14 +313,20 @@ class TemporalGraph:
             self._labels.append(node)
         return code
 
-    def _root(self, node):
-        """Root code of ``node``'s weak component, or None when no union has reached ``node``."""
-        root, parent = self._code(node), self._parent
-        if root is None or root >= len(parent):
-            return None
-        while parent[root] != root:
-            root = parent[root]
-        return root
+    def _codes(self, nodes: list) -> list:
+        """Codes of ``nodes``; a label graph interns the ones it has no code for."""
+        return nodes if self._code_of is None else [self._intern(node) for node in nodes]
+
+    def _components(self, codes) -> list:
+        """Weak-component root code of each code before the cursor; a code no union reached is its own root."""
+        parent, n = self._parent, len(self._parent)
+        roots = []
+        for code in codes:
+            if code < n:
+                while parent[code] != code:
+                    code = parent[code]
+            roots.append(code)
+        return roots
 
     def _endpoints(self, start: int, end: int) -> tuple[list, list]:
         """Source and target keys of edges ``start`` to ``end``."""
@@ -363,27 +426,38 @@ class TemporalGraph:
         self._dsts.append(self._intern(dst))
         self._counts.append(1)
         if self._index is not None:
-            # Rows not yet cached are cut from the index, which holds no edge
-            # appended after it was built; so every appended edge must be in
-            # the cached rows of both its endpoints.
+            # Once built, the index holds every edge, and rows not yet cached
+            # are cut from it: so both endpoints' rows are cut before it takes
+            # the edge, and then extended. With no room for the edge, it is
+            # built anew.
             out_times, targets, _, _ = self._row(src)
             out_times.append(t)
             targets.append(dst)
             _, _, in_times, sources = self._row(dst)
             in_times.append(t)
             sources.append(src)
+            if not self._index.add(t, self._srcs[-1], self._dsts[-1]):
+                self._index = None
+                self._row_index()
         for node in (src, dst):
             self.register_node(node, t)
         return True
 
     # -- queries (state strictly before the cursor) -------------------------
 
+    def _row_index(self) -> _RowIndex:
+        """The index of every edge, built on first use from copies of the
+        columns (a live view would make the next append fail). Once an edge
+        has been appended, it is built with room for more."""
+        if self._index is None:
+            columns = (np.array(column) for column in (self._times, self._srcs, self._dsts))
+            self._index = _RowIndex(*columns, room=self._pair_index is not None)
+        return self._index
+
     def _row(self, node) -> tuple[list, list, list, list]:
         row = self._rows.get(node)
         if row is None:
-            if self._index is None:
-                self._index = _RowIndex(np.array(self._times), np.array(self._srcs), np.array(self._dsts))
-            out_times, targets, in_times, sources = self._index.row(self._code(node))
+            out_times, targets, in_times, sources = self._row_index().row(self._code(node))
             row = self._rows[node] = (out_times, self._keys(targets), in_times, self._keys(sources))
         return row
 
@@ -411,8 +485,8 @@ class TemporalGraph:
 
     def wcc_root(self, a):
         """Key of the representative of ``a``'s weak component (``a`` when alone); equal roots mean one component."""
-        root = self._root(a)
-        return a if root is None else self._keys([root])[0]
+        code = self._code(a)
+        return a if code is None else self._keys(self._components([code]))[0]
 
     def is_friend_of_friend(self, a, b) -> bool:
         """True when some third node is an undirected neighbor of both."""

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import bfs_components, component_of, random_edge_stream
 
+import netchoice.choices as choices_module
 from netchoice.authors import AuthorDirectory
 from netchoice.choices import (
     FEATURE_NAMES,
@@ -18,12 +20,14 @@ from netchoice.choices import (
     choice_set_features,
     eligible_candidates,
     feature_names,
+    read_choice_sets,
     sample_negatives,
     synth_generate,
     temporal_split,
+    write_choice_sets,
 )
 from netchoice.estimators import mnl_fit
-from netchoice.events import UpdateEvent
+from netchoice.events import LogVocab, UpdateEvent, UpdateLog
 from netchoice.graph import build
 from netchoice.initiations import extract_initiations
 
@@ -457,3 +461,155 @@ class TestSynth:
             SynthConfig(beta_true=(1.0,), feature_names=("a", "b"))
         with pytest.raises(ValueError):
             SynthConfig(beta_true=(1.0,), feature_names=("not_a_feature",))
+
+
+def tied_world():
+    """Whole-day times with many ties; a10..a15 only interact, so the directory lacks them."""
+    rng = np.random.default_rng(21)
+    authors = [f"a{i}" for i in range(16)]
+    edges = []
+    for _ in range(150):
+        src, dst = rng.choice(16, size=2, replace=False)
+        edges.append((authors[src], authors[dst], int(rng.integers(2, 14)) * DAY))
+    updates = []
+    for i in range(10):
+        for j in range(1 + i % 4):
+            site = f"s{(i + j * 3) % 6}"
+            role = ["P", "CG", "unlabeled", "P"][(i + j) % 4]
+            updates.append(UpdateEvent(authors[i], site, f"u{i}-{j}", int(rng.integers(0, 10)) * DAY, role))
+    conditions = {f"s{j}": ["Cancer", "Injury", None, "Cancer", "Condition Unknown", "Stroke"][j] for j in range(6)}
+    geo = [(authors[i], k, ["MN", "WI"][i % 2]) for i in range(0, 16, 3) for k in range(12)]
+    directory = AuthorDirectory(updates, site_conditions=conditions, geo_posts=geo)
+    return edges, directory, build(edges, extra_nodes=directory.first_update_times())
+
+
+def scan_features(edges, directory, chooser, candidate, t, include_state):
+    """One feature row from full scans and the directory's public lookups."""
+    first = {}
+    for src, dst, tau in edges:
+        first[(src, dst)] = min(first.get((src, dst), tau), tau)
+    prior = {pair for pair, tau in first.items() if tau < t}
+    outs = {d for s, d in prior if s == candidate}
+    ins = {s for s, d in prior if d == candidate}
+
+    def neighbours(x):
+        return {d for s, d in prior if s == x} | {s for s, d in prior if d == x}
+
+    component = component_of(bfs_components(prior), chooser)
+    role, chooser_role = directory.role(candidate), directory.role(chooser)
+    condition, chooser_condition = directory.health_condition(candidate), directory.health_condition(chooser)
+    act = directory.activity_features(candidate, t)
+    row = [
+        censored_log(len(outs), 1.0),
+        float(len(ins) > 0),
+        censored_log(len(ins), 1.0),
+        float((candidate, chooser) in prior),
+        float(candidate == chooser or (component is not None and candidate in component)),
+        float(bool(neighbours(candidate) & neighbours(chooser))),
+        float(role == "Mixed"),
+        float(role == "P"),
+        float(role is not None and role == chooser_role),
+        float(condition is not None and condition == chooser_condition),
+        float(act.is_multisite),
+        float(act.is_mixedsite),
+        float(act.update_count),
+        act.update_frequency,
+        act.days_since_most_recent_update,
+        act.days_since_first_update,
+    ]
+    if include_state:
+        state = directory.state(candidate)
+        row.append(float(state is not None and state == directory.state(chooser)))
+    return np.array(row)
+
+
+class TestFeatureKernel:
+    @pytest.mark.parametrize("include_state", [False, True])
+    def test_build_choice_sets_rows_equal_scan(self, include_state):
+        edges, directory, graph = tied_world()
+        inits = extract_initiations(edges)
+        instances, _ = build_choice_sets(inits, graph, directory, SamplerConfig(n_negatives=6, seed=3), include_state)
+        assert len(instances) > 40
+        alternatives = [a for inst in instances for a in inst.alternatives]
+        assert any(a not in directory for a in alternatives), "some candidates must lack a directory entry"
+        assert {inst.time for inst in instances} <= {d * DAY for d in range(20)}
+        for inst in instances:
+            for row, alt in zip(inst.X, inst.alternatives):
+                expected = scan_features(edges, directory, inst.chooser, alt, inst.time, include_state)
+                assert np.array_equal(row, expected), (inst.chooser, alt, inst.time)
+
+    def test_blocks_of_one_set_equal_one_block(self, monkeypatch):
+        runs = []
+        for block_rows in (1, 10**9):
+            monkeypatch.setattr(choices_module, "_BLOCK_ROWS", block_rows)
+            edges, directory, graph = tied_world()
+            runs.append(build_choice_sets(extract_initiations(edges), graph, directory, SamplerConfig(5, seed=9), True))
+        (one, skipped_one), (whole, skipped_whole) = runs
+        assert len(one) > 40 and skipped_one == skipped_whole
+        assert [i.alternatives for i in one] == [i.alternatives for i in whole]
+        assert all(np.array_equal(a.X, b.X) for a, b in zip(one, whole))
+
+    def test_large_times_match_python_ints(self):
+        """Times near -2**62 and 2**62: differences past 2**53, and t minus
+        the first update past the int64 maximum, agree with Python ints."""
+        big = 2**62
+        vocab = LogVocab()
+        rows = [("c", "s1", -big - 7), ("x", "s1", -big - 3), ("x", "s2", -big + 3 * DAY + 11), ("x", "s1", big - 5)]
+        log = UpdateLog(
+            vocab,
+            np.array([vocab.authors.code(a) for a, _, _ in rows], dtype=np.int32),
+            np.array([vocab.sites.code(s) for _, s, _ in rows], dtype=np.int32),
+            np.array([vocab.updates.code(f"u{i}") for i in range(len(rows))], dtype=np.int32),
+            np.array([t for _, _, t in rows], dtype=np.int64),
+            np.array([1, 2, 2, 1], dtype=np.int8),
+        )
+        directory = AuthorDirectory(log)
+        c, x, y = 0, 1, vocab.authors.code("y")
+        graph = build([(x, c, -big + 100), (y, x, big - 100)], extra_nodes=directory.first_update_times())
+        times = [u for _, _, u in rows]
+        for t in (-big + 101, -big + 2**54, big - 99, big + 12_345, 2**63 - 1):
+            row = build_features(c, x, t, graph, directory)
+            before = [u for u in times[1:] if u < t]
+            first, latest = min(before), max(before)
+            assert t < 0 or t - first > 2**53
+            act = directory.activity_features(x, t)
+            assert row[12] == len(before) == act.update_count
+            assert row[13] == len(before) / (max(t - first, 86_400.0) / (86_400.0 * 30.44)) == act.update_frequency
+            assert row[14] == (t - latest) / 86_400.0 == act.days_since_most_recent_update
+            assert row[15] == (t - first) / 86_400.0 == act.days_since_first_update
+            assert row[3] == 1.0 and row[4] == 1.0
+            assert row[1] == float(t > big - 100)
+        assert 2**63 - 1 - (-big - 3) > np.iinfo(np.int64).max
+
+    def test_writer_matches_json_dumps(self, tmp_path):
+        values = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e16, 0.1 + 0.2, 1.0, -1.5, 1e-7, 123456789.125]
+        X = np.array(values * 2, dtype=np.float64).reshape(4, 5)
+        instances = [
+            ChoiceInstance("a", 7, ["b", "c", "d", "e"], 2, X, tuple("fghij")),
+            ChoiceInstance("b", 9, ["a", "c"], 0, X[:2, ::-1] * -1.0, tuple("fghij")),
+            ChoiceInstance("c", 11, ["a", "b"], 1, np.zeros((2, 0)), ()),
+        ]
+        meta = {"n": 1, "note": "é"}
+        for label, name in ((None, lambda a: a), (str.upper, str.upper)):
+            path = tmp_path / "choices.jsonl"
+            write_choice_sets(path, instances, meta=meta, label=label)
+            expected = json.dumps({"meta": meta}, sort_keys=True) + "\n" + "".join(
+                json.dumps(
+                    {
+                        "chooser": name(inst.chooser),
+                        "time": inst.time,
+                        "alternatives": [name(a) for a in inst.alternatives],
+                        "chosen": inst.chosen,
+                        "X": inst.X.tolist(),
+                        "feature_names": list(inst.feature_names),
+                    },
+                    sort_keys=True,
+                )
+                + "\n"
+                for inst in instances
+            )
+            assert path.read_bytes() == expected.encode()
+        assert '"X": [[-0.0, 0.0, 5e-324' in path.read_text()
+        read, _ = read_choice_sets(path)
+        assert all(np.array_equal(a.X, b.X) for a, b in zip(read, instances))
+        assert math.copysign(1.0, read[0].X[0, 0]) == -1.0

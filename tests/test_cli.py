@@ -574,3 +574,21 @@ def test_reader_fuzz(tmp_path, capsys):
         assert code == EXIT_OK or (code == EXIT_VALIDATION and "line" in err), (code, err)
 
     check()
+
+
+def test_input_path_that_is_a_directory_is_1(tmp_path, capsys):
+    """An OSError other than a missing file (here IsADirectoryError) exits 1 with its message."""
+    assert run(["kappa", "--labels", str(tmp_path), "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "Is a directory" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", ["9" * 400, "1e400", "NaN"], ids=["int-too-large-for-a-float", "overflows", "nan"])
+def test_target_marginal_not_a_finite_float_is_1(tmp_path, capsys, entry):
+    holdout = tmp_path / "holdout.csv"
+    holdout.write_text("prediction,label\n" + "CG,CG\nP,P\nP,CG\nCG,P\n" * 5)
+    marginal = tmp_path / "marginal.json"
+    marginal.write_text(f"\n[0.5, {entry}]\n")
+    argv = ["bbse", "--holdout", str(holdout), "--target-marginal", str(marginal), "--out-dir", str(tmp_path / "out")]
+    assert run(argv) == EXIT_VALIDATION
+    assert "line 2: entry 1 of the list is not a finite number" in capsys.readouterr().err
