@@ -182,6 +182,47 @@ class TestTimestampRange:
         assert log[0].timestamp == top
 
 
+class TestStrictIntegers:
+    """An integer field is ASCII digits after an optional '-'; Python's int()
+    alone would read each of these."""
+
+    LOOSE = ["5_000", " 7", "+9", "\u0665", "7 "]
+
+    @pytest.mark.parametrize("text", LOOSE)
+    def test_log_timestamps(self, tmp_path, text):
+        path = tmp_path / "ev.csv"
+        path.write_bytes((HEADER + f"a,s,guestbook,1,\nb,s,guestbook,{text},\n").encode())
+        assert_schema_error(lambda: load_events(path), 3, "timestamp")
+        path = tmp_path / "up.csv"
+        path.write_bytes((UPDATE_HEADER + f"a,s,u1,{text},P\n").encode())
+        assert_schema_error(lambda: load_updates(path), 2, "timestamp")
+        assert_schema_error(lambda: EventLog.from_records([InteractionEvent("a", "s", "guestbook", text)]), 0, "timestamp")
+
+    @pytest.mark.parametrize("text", LOOSE)
+    def test_geo_posts_site_created_and_initiations(self, tmp_path, text):
+        from netchoice.authors import load_geo_posts, load_site_conditions
+        from netchoice.initiations import read_initiations_csv
+
+        cases = [
+            (load_geo_posts, f"author_id,timestamp,state\na,1,\nb,{text},TX\n", "timestamp"),
+            (load_site_conditions, f"site_id,health_condition,created\ns1,,1\ns2,Cancer,{text}\n", "created"),
+            (read_initiations_csv, f"initiator,receiver,time,itype,is_reciprocal,initiator_was_isolate\na,b,1,,0,0\na,c,{text},,0,0\n", "time"),
+            (read_initiations_csv, f"initiator,receiver,time,itype,is_reciprocal,initiator_was_isolate\na,b,1,,0,0\na,c,2,,{text},0\n", "is_reciprocal"),
+        ]
+        for read, content, field in cases:
+            path = tmp_path / "in.csv"
+            path.write_bytes(content.encode())
+            assert_schema_error(lambda: read(path), 3, field)
+
+    def test_minus_sign_and_leading_zeros_still_read(self, tmp_path):
+        from netchoice.initiations import read_initiations_csv
+
+        path = write(tmp_path, "ev.csv", HEADER + "a,s,guestbook,007,\n")
+        assert load_events(path)[0][0].timestamp == 7
+        path = write(tmp_path, "ini.csv", "initiator,receiver,time,itype,is_reciprocal,initiator_was_isolate\na,b,-5,,0,0\n")
+        assert read_initiations_csv(path)[0].time == -5
+
+
 class TestResolveAmpTimestamps:
     def test_amp_takes_update_time(self):
         events, updates = make_logs(
@@ -355,6 +396,24 @@ def test_sorted_unique_matches_np_unique(values):
     got, want = _sorted_unique(keys), np.unique(keys)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+ROW_VALUES = st.one_of(st.integers(-1, 2), st.sampled_from([-(2**63), 2**62, 2**63 - 1]))
+
+
+@given(st.lists(st.tuples(*[ROW_VALUES] * 5), max_size=12))
+@example([(0, 0, 0, 0, 0)] * 2 + [(0, 0, 0, 0, 1)])
+@example([(-(2**63), 0, 0, 2**63 - 1, 0), (2**63 - 1, 0, 0, -(2**63), 0)] * 2)  # spans past 2**63
+@example([(0, 1, 1, 1, 1), (2**63 - 1, 1, 1, 1, 1)] * 2)  # a span of exactly 2**63, then constant columns
+def test_dedupe_mask_keeps_first_occurrences(rows):
+    # Columns are packed into int64 words by their spans; wide spans take a
+    # word each, and the keep-mask must still be the first occurrence of each row.
+    cols = [np.array(col, dtype=np.int64) for col in zip(*rows)] or [np.zeros(0, dtype=np.int64)] * 5
+    keep, removed = events._dedupe_mask(cols)
+    seen = set()
+    want = [row not in seen and not seen.add(row) for row in rows]
+    assert keep.tolist() == want
+    assert removed == len(rows) - len(seen)
 
 
 def site_authors_oracle(log):
@@ -545,6 +604,48 @@ def outcome(load):
     return ("ok", list(log), columns)
 
 
+def both_paths(loader, path, lines):
+    """What the row path alone makes of a CSV log, and what it makes with bulk
+    blocks of ``lines`` lines: ((dtype, values) of every column, duplicates)
+    or the SchemaError's (line, field), plus the ids of all three spaces."""
+    results = []
+    for name, value in (("_bulk_csv", lambda *args: (None, None)), ("_BULK_LINES", lines)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(events, name, value)
+            vocab = LogVocab()
+            try:
+                log, removed = loader(path, "csv", vocab)
+                got = ([(getattr(log, s).dtype.str, getattr(log, s).tolist()) for s in log.__slots__[1:]], removed)
+            except SchemaError as exc:
+                got = (exc.line, exc.field)
+            results.append((got, [list(getattr(vocab, space)._ids) for space in vocab.__slots__]))
+    return results
+
+
+ROWS = "a,s1,guestbook,1,\nb,s1,comment,2,u1\n"
+BULK_CASES = {
+    "field past the reader limit": (load_events, HEADER + ROWS + "a" * 200_000 + ",s,guestbook,1,\n", (4, None)),
+    "blank line": (load_events, HEADER + ROWS + "\n" + ROWS + "c,s2,amp,,u1\n", None),
+    "no final newline": (load_events, HEADER + ROWS + "c,s2,amp,,u1", None),
+    "crlf": (load_events, HEADER + ROWS.replace("\n", "\r\n") * 2, None),
+    "crlf header": (load_updates, UPDATE_HEADER.replace("\n", "\r\n") + "a,s,u1,5,P\r\nb,s,u2,6,\r\n", None),
+    "quoted newline across a cut": (load_events, HEADER + ROWS + '"c\nd",s1,guestbook,3,\n' + ROWS, None),
+    "non-ascii id": (load_events, HEADER + ROWS + "c,s\u00e9,guestbook,3,\n" + ROWS, None),
+    "19-digit timestamp": (load_events, HEADER + ROWS + f"c,s1,guestbook,{2**63 - 1},\n" + ROWS, None),
+    "20-digit timestamp": (load_events, HEADER + ROWS + f"c,s1,guestbook,{2**63},\n" + ROWS, (4, "timestamp")),
+    "wide ids": (load_updates, UPDATE_HEADER + "a,s,u1,5,P\n" + f"{'x' * 32},{'y' * 17},u2,6,\n" + "a,s,u3,7,CG\n", None),
+    "unknown role": (load_updates, UPDATE_HEADER + "a,s,u1,5,P\nb,s,u2,6,X\n", (3, "role_label")),
+    "guestbook without a timestamp": (load_events, HEADER + ROWS + "c,s1,guestbook,,\n", (4, "timestamp")),
+    "comment without an update id": (load_events, HEADER + ROWS + "c,s1,comment,3,\n", (4, "update_id")),
+    "missing actor": (load_events, HEADER + ROWS + ",s1,guestbook,3,\n", (4, "actor_id")),
+    "missing site": (load_events, HEADER + ROWS + "c,,guestbook,3,\n", (4, "site_id")),
+    "update without a timestamp": (load_updates, UPDATE_HEADER + "a,s,u1,5,P\nb,s,u2,,P\n", (3, "timestamp")),
+    "empty file": (load_events, "", None),
+    "header only": (load_events, HEADER, None),
+    "update id clash after a bulk block": (load_updates, UPDATE_HEADER + "a,s,u1,5,P\nb,s,u2,6,\nc,s,u3,7,CG\nd,t,u2,8,\n", (5, "update_id")),
+}
+
+
 class TestOneRowPath:
     @pytest.mark.parametrize(
         "loader, log_cls, columns, records",
@@ -566,6 +667,33 @@ class TestOneRowPath:
                     assert loader(path, fmt)[1] == len(rows) - len(unique)
 
         check()
+
+    @pytest.mark.parametrize(
+        "loader, columns, records",
+        [
+            (load_events, HEADER.strip().split(","), EVENT_RECORDS),
+            (load_updates, UPDATE_HEADER.strip().split(","), UPDATE_RECORDS),
+        ],
+        ids=["events", "updates"],
+    )
+    def test_bulk_blocks_equal_the_row_path(self, tmp_path, loader, columns, records):
+        @given(log_rows(*records), st.integers(1, 3))
+        def check(rows, lines):
+            csv_path, _ = write_rows(tmp_path, "log", columns, rows)
+            row, bulk = both_paths(loader, csv_path, lines)
+            assert bulk == row
+
+        check()
+
+    @pytest.mark.parametrize("case", BULK_CASES)
+    @pytest.mark.parametrize("lines", [1, 2, 3])
+    def test_bulk_blocks_on_named_cases(self, tmp_path, case, lines):
+        loader, text, error = BULK_CASES[case]
+        path = tmp_path / "log.csv"
+        path.write_bytes(text.encode())
+        row, bulk = both_paths(loader, path, lines)
+        assert bulk == row
+        assert (row[0] if error else "ok") == (error or "ok"), row[0]
 
     def test_record_repeats_are_kept_or_raise(self):
         event = InteractionEvent("a", "s", "guestbook", 5)
@@ -653,6 +781,19 @@ class TestFuzzRows:
                 loader(path)
             except SchemaError as exc:
                 assert exc.line is not None, exc
+
+        check()
+
+    @pytest.mark.parametrize("loader, header", [(load_events, HEADER), (load_updates, UPDATE_HEADER)], ids=["events", "updates"])
+    def test_csv_rows_bulk_blocks_equal_the_row_path(self, tmp_path, loader, header):
+        @given(st.lists(st.lists(CSV_CELL, min_size=4, max_size=6), max_size=5), st.integers(1, 3))
+        def check(rows, lines):
+            path = tmp_path / "fuzz.csv"
+            with open(path, "w", newline="") as fh:
+                fh.write(header)
+                csv.writer(fh).writerows(rows)
+            row, bulk = both_paths(loader, path, lines)
+            assert bulk == row
 
         check()
 
@@ -843,3 +984,50 @@ def test_log_starting_with_a_comment_line_is_a_header_error(tmp_path):
     path = tmp_path / "ev.csv"
     path.write_text("# config_hash=0\n" + HEADER + "a,s1,guestbook,1,\n")
     assert_schema_error(lambda: load_events(path), 1, None)
+
+
+def write_benchmark_shaped_logs(directory, rng, n_events=3000, n_sites=300):
+    """Logs shaped as the benchmark generator writes them: ids a<int>, s<int>
+    and u<int>, amps with no timestamp, guestbook posts with no update id,
+    empty role labels and exact duplicate rows."""
+    directory.mkdir()
+    roles = np.array(["", "P", "CG"])[rng.integers(0, 3, n_sites)]
+    times = rng.integers(0, 500_000_000, n_sites)
+    (directory / "updates.csv").write_text(
+        UPDATE_HEADER + "".join(f"a{i},s{i},u{i},{t},{r}\n" for i, (t, r) in enumerate(zip(times.tolist(), roles.tolist())))
+    )
+    rows = []
+    for a, s, k, t in zip(*(rng.integers(0, hi, n_events).tolist() for hi in (5 * n_sites, n_sites, 3, 600_000_000))):
+        rows.append((f"a{a},s{s},guestbook,{t},", f"a{a},s{s},amp,,u{s}", f"a{a},s{s},comment,{t},u{s}")[k] + "\n")
+    rows += rows[: n_events // 200]
+    (directory / "interactions.csv").write_text(HEADER + "".join(rows))
+    return directory / "interactions.csv", directory / "updates.csv"
+
+
+@pytest.mark.parametrize("lines", [None, 97])
+def test_bulk_path_takes_benchmark_and_c09_shaped_logs(tmp_path, monkeypatch, lines):
+    # A log the bulk path should take never reaches the row path, so a
+    # change that sends it there fails here rather than only costing time.
+    from test_acceptance import _write_synthetic_logs
+
+    (tmp_path / "c09").mkdir()
+    rng = np.random.default_rng(11)
+    logs = [write_benchmark_shaped_logs(tmp_path / "bench", rng), _write_synthetic_logs(tmp_path / "c09", rng, 3000, 400)]
+    if lines is not None:
+        monkeypatch.setattr(events, "_BULK_LINES", lines)
+    for interactions, updates in logs:
+        with monkeypatch.context() as patch:
+            patch.setattr(events, "_bulk_csv", lambda *args: (None, None))
+            want = load_logs(interactions, updates)
+        with monkeypatch.context() as patch:
+            for name in ("_event_log", "_update_log"):
+                patch.setattr(events, name, lambda *args: pytest.fail("a log took the row path"))
+            got = load_logs(interactions, updates)
+        for log, other in zip(got[:2], want[:2]):
+            for name in log.__slots__[1:]:
+                assert getattr(log, name).dtype == getattr(other, name).dtype
+                assert getattr(log, name).tolist() == getattr(other, name).tolist(), name
+        assert [got[0].vocab.authors._ids, got[0].vocab.sites._ids, got[0].vocab.updates._ids] == [
+            want[0].vocab.authors._ids, want[0].vocab.sites._ids, want[0].vocab.updates._ids
+        ]
+        assert got[2] == want[2]
