@@ -410,7 +410,7 @@ def logistic_fit(X, y, tol: float = 1e-8, max_iter: int = 100, feature_names=Non
     n, p_dim = X.shape
     if y.shape != (n,):
         raise ValueError("outcome length does not match design")
-    if not np.isin(y, (0.0, 1.0)).all():
+    if not ((y == 0) | (y == 1)).all():
         raise ValueError("outcomes must be 0/1")
     names = tuple(feature_names) if feature_names is not None else tuple(f"x{j}" for j in range(p_dim))
     if len(names) != p_dim:

@@ -926,7 +926,8 @@ def filter_self_interactions(events: EventLog, updates: UpdateLog) -> tuple[Even
     span = np.int64(len(events.vocab.sites))
     own_keys = _sorted_unique(updates.author.astype(np.int64) * span + updates.site)
     event_keys = events.actor.astype(np.int64) * span + events.site
-    self_mask = np.isin(event_keys, own_keys)
+    # A membership test by binary search over the sorted, unique keys.
+    self_mask = own_keys[np.minimum(own_keys.searchsorted(event_keys), len(own_keys) - 1)] == event_keys
     removed = int(self_mask.sum())
     if removed == 0:
         return events, 0

@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from itertools import islice
 from operator import itemgetter
 
 import numpy as np
@@ -120,54 +119,50 @@ class ComponentState:
         return self.dsu.same_component(a, b)
 
 
-# Initiation type codes index InitiationType's members: joining component 0,
-# bridging 1, joining isolates 2, intra component 3. Across two components the
-# code is picked by (initiator connected, receiver connected).
-_OPEN_TYPE = ((2, 0), (0, 1))
+# Replay codes: 0-3 index InitiationType's members (joining component,
+# bridging, joining isolates, intra component) and 4 is a joining component
+# from a connected source. Across two components the code is picked by
+# (source connected, target connected).
+_OPEN_TYPE = ((2, 0), (4, 1))
 
 
-def _replay(parent: list, size: list, srcs, dsts, ends, largest: int, itypes=None, isolated=None) -> list:
-    """Union ``srcs[i]`` with ``dsts[i]`` in order; the largest component size after each of ``ends``.
+def _replay(parent: list, size: list, srcs, dsts, largest: int, codes=None, running=None) -> int:
+    """Union ``srcs[i]`` with ``dsts[i]`` in order; the largest component size after the last.
 
     The one union-find replay (Tarjan, JACM 1975): ``parent`` and ``size``
     are lists indexed by int code, grown to cover every code fed and updated
-    in place with union by size and path compression. ``ends`` are
-    increasing edge counts and ``largest`` is the largest size before the
-    first edge. When ``itypes`` and ``isolated`` are lists, each edge appends
-    its initiation type code and whether its source was an isolate, both
-    read before its own union.
+    in place with union by size and path compression. ``largest`` is the
+    largest size before the first edge. When ``codes`` and ``running`` are
+    lists, each edge appends its replay code and the largest size, both read
+    before its own union.
     """
     n_codes = max(max(srcs, default=-1), max(dsts, default=-1)) + 1
     size.extend([1] * (n_codes - len(parent)))
     parent.extend(range(len(parent), n_codes))
-    maxima, pairs, start = [], zip(srcs, dsts), 0
-    for end in ends:
-        for a, b in islice(pairs, end - start):
-            ra = parent[a]
-            while parent[ra] != ra:
-                ra = parent[ra]
-            while parent[a] != ra:
-                parent[a], a = ra, parent[a]
-            rb = parent[b]
-            while parent[rb] != rb:
-                rb = parent[rb]
-            while parent[b] != rb:
-                parent[b], b = rb, parent[b]
-            sa, sb = size[ra], size[rb]
-            if itypes is not None:
-                itypes.append(3 if ra == rb else _OPEN_TYPE[sa > 1][sb > 1])
-                isolated.append(sa < 2)
-            if ra == rb:
-                continue
-            if sa < sb:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            merged = size[ra] = sa + sb
-            if merged > largest:
-                largest = merged
-        maxima.append(largest)
-        start = end
-    return maxima
+    for a, b in zip(srcs, dsts):
+        ra = parent[a]
+        while parent[ra] != ra:
+            ra = parent[ra]
+        while parent[a] != ra:
+            parent[a], a = ra, parent[a]
+        rb = parent[b]
+        while parent[rb] != rb:
+            rb = parent[rb]
+        while parent[b] != rb:
+            parent[b], b = rb, parent[b]
+        sa, sb = size[ra], size[rb]
+        if codes is not None:
+            codes.append(3 if ra == rb else _OPEN_TYPE[sa > 1][sb > 1])
+            running.append(largest)
+        if ra == rb:
+            continue
+        if sa < sb:
+            ra, rb = rb, ra
+        parent[rb] = ra
+        merged = size[ra] = sa + sb
+        if merged > largest:
+            largest = merged
+    return largest
 
 
 def _csr(keys, n: int):
@@ -352,16 +347,13 @@ class TemporalGraph:
         known = self._activation.get(node)
         if known is None or time < known:
             self._activation[node] = time
-            self._act_times = None
+            self._act_times = self._act_nodes = None
 
-    def _activation_order(self):
+    def _activation_times(self) -> list:
+        """Every activation time, sorted."""
         if self._act_times is None:
-            nodes = list(self._activation)
-            times = np.array(list(self._activation.values()))
-            order = np.lexsort((np.array([str(node) for node in nodes]), times))
-            self._act_nodes = [nodes[i] for i in order.tolist()]
-            self._act_times = times[order].tolist()
-        return self._act_times, self._act_nodes
+            self._act_times = np.sort(np.array(list(self._activation.values()))).tolist()
+        return self._act_times
 
     def activation_time(self, node):
         """When the node first appeared (edge endpoint or registration), or None."""
@@ -373,14 +365,17 @@ class TemporalGraph:
         ``nodes[:k]`` are the nodes activated before ``t``; the list is shared,
         not copied, and stays valid until the next registration or append.
         """
-        times, nodes = self._activation_order()
-        return nodes, bisect_left(times, t)
+        if self._act_nodes is None:
+            nodes = list(self._activation)
+            times = np.array(list(self._activation.values()))
+            order = np.lexsort((np.array([str(node) for node in nodes]), times))
+            self._act_nodes = [nodes[i] for i in order.tolist()]
+            self._act_times = times[order].tolist()
+        return self._act_nodes, bisect_left(self._act_times, t)
 
     def activated_count(self, t=None) -> int:
         """Nodes activated strictly before ``t`` (default: the cursor)."""
-        t = self._cursor if t is None else t
-        times, _ = self._activation_order()
-        return bisect_left(times, t)
+        return bisect_left(self._activation_times(), self._cursor if t is None else t)
 
     def nodes_activated_before(self, t) -> list:
         nodes, k = self.activation_prefix(t)
@@ -396,7 +391,7 @@ class TemporalGraph:
         end = bisect_left(self._times, t, ptr)
         if end > ptr:
             srcs, dsts = self._srcs[ptr:end], self._dsts[ptr:end]
-            (self._largest,) = _replay(self._parent, self._size, srcs, dsts, (end - ptr,), self._largest)
+            self._largest = _replay(self._parent, self._size, srcs, dsts, self._largest)
             self._ptr = end
         self._cursor = t
 
@@ -505,7 +500,7 @@ class TemporalGraph:
 
     def scc_snapshot(self) -> list[int]:
         """Strongly-connected component sizes (descending) before the cursor."""
-        src_codes, dst_codes = np.array(self._srcs[: self._ptr]), np.array(self._dsts[: self._ptr])
+        src_codes, dst_codes = _scc_core(np.array(self._srcs[: self._ptr]), np.array(self._dsts[: self._ptr]))
         sizes = _tarjan_scc_sizes(src_codes, dst_codes, _code_span(src_codes, dst_codes))
         # Every endpoint lies in exactly one SCC; the other activated nodes are isolates.
         sizes.extend([1] * (self.activated_count() - sum(sizes)))
@@ -555,10 +550,7 @@ def build(interactions, extra_nodes=None) -> TemporalGraph:
 
 def _intern_records(graph: TemporalGraph, srcs: list, dsts: list, times: list):
     """Source codes, target codes and times of record columns, labels interned in sorted order."""
-    time_column = np.array(times)
-    if times and time_column.dtype != np.int64:
-        # Floats would be truncated, and ints beyond int64 wrap or become objects.
-        raise ValueError(f"record times must be int64 integers, got {time_column.dtype}")
+    time_column = _time_column(times)
     graph._labels = sorted(set(srcs).union(dsts))
     code_of = graph._code_of = {label: code for code, label in enumerate(graph._labels)}
     return (
@@ -566,6 +558,14 @@ def _intern_records(graph: TemporalGraph, srcs: list, dsts: list, times: list):
         np.fromiter(map(code_of.__getitem__, dsts), dtype=np.int64, count=len(dsts)),
         time_column,
     )
+
+
+def _time_column(times: list):
+    """Record times as int64; floats would be truncated, and ints beyond int64 wrap or become objects."""
+    column = np.array(times)
+    if times and column.dtype != np.int64:
+        raise ValueError(f"record times must be int64 integers, got {column.dtype}")
+    return column
 
 
 def _first_edges(graph: TemporalGraph, src, dst, times) -> None:
@@ -595,7 +595,7 @@ def _first_edges(graph: TemporalGraph, src, dst, times) -> None:
     pair, first_times = k_sorted[starts], times[order[starts]]
     del k_sorted, order
     srcs, dsts = pair // span, pair % span
-    by_time = np.lexsort((dsts, srcs, first_times))
+    by_time = np.argsort(first_times, kind="stable")  # the pairs are in (src, dst) order
     columns = (first_times[by_time], srcs[by_time], dsts[by_time], counts[by_time])
     for stored, column in zip((graph._times, graph._srcs, graph._dsts, graph._counts), columns):
         stored.frombytes(column.astype(np.int64, copy=False).tobytes())
@@ -603,6 +603,26 @@ def _first_edges(graph: TemporalGraph, src, dst, times) -> None:
     first_times, srcs, dsts = columns[:3]
     nodes, at = np.unique(np.column_stack((srcs, dsts)).ravel(), return_index=True)
     graph._activation = dict(zip(graph._keys(nodes.tolist()), first_times[at // 2].tolist()))
+
+
+def _scc_core(src_codes, dst_codes):
+    """The edges left once nodes that cannot lie on a cycle are trimmed.
+
+    A node with no in-edge or no out-edge is an SCC of its own, and so is
+    every node it leaves that way once removed (the trim step of McLendon et
+    al., JPDC 2005). Each round removes every such node among the edges left;
+    rounds go on while one removes at least a quarter of them, so the work
+    stays linear in the edges.
+    """
+    n = _code_span(src_codes, dst_codes)
+    while len(src_codes):
+        cyclic = np.bincount(src_codes, minlength=n).astype(bool) & np.bincount(dst_codes, minlength=n).astype(bool)
+        keep = cyclic[src_codes] & cyclic[dst_codes]
+        before = len(src_codes)
+        src_codes, dst_codes = src_codes[keep], dst_codes[keep]
+        if 4 * (before - len(src_codes)) < before:
+            break
+    return src_codes, dst_codes
 
 
 def _tarjan_scc_sizes(src_codes, dst_codes, n: int) -> list[int]:
@@ -677,15 +697,15 @@ def largest_wcc_share_series(graph: TemporalGraph):
     if len(times) == 0:
         return
     starts = np.flatnonzero(np.concatenate(([True], times[1:] != times[:-1])))
-    ends = np.append(starts[1:], len(times)).tolist()
     group_times = times[starts]
-    act_times, _ = graph._activation_order()
+    running = []
+    largest = _replay(graph._parent, graph._size, graph._srcs.tolist(), graph._dsts.tolist(), graph._largest, [], running)
+    graph._largest, graph._ptr, graph._cursor = largest, len(times), int(group_times[-1]) + 1
+    # A group's largest size is the one read before the next group's first edge.
+    sizes = np.append(np.array(running)[starts[1:]], largest)
     # Activated at or before t, i.e. strictly before the cursor t + 1 (which could wrap in int64).
-    activated = np.searchsorted(np.asarray(act_times), group_times, side="right").tolist()
-    srcs, dsts = graph._srcs.tolist(), graph._dsts.tolist()
-    maxima = _replay(graph._parent, graph._size, srcs, dsts, ends, graph._largest)
-    graph._largest, graph._ptr, graph._cursor = maxima[-1], len(times), int(group_times[-1]) + 1
-    for t, count, largest in zip(group_times.tolist(), activated, maxima):
-        largest = max(largest, 1) if count else 0
-        share = largest / count if count else float("nan")
-        yield t, count, largest, share
+    activated = np.searchsorted(np.asarray(graph._activation_times()), group_times, side="right")
+    sizes = np.where(activated > 0, np.maximum(sizes, 1), 0)
+    with np.errstate(invalid="ignore"):
+        shares = sizes / activated  # 0 / 0 is nan
+    yield from zip(group_times.tolist(), activated.tolist(), sizes.tolist(), shares.tolist())

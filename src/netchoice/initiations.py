@@ -17,6 +17,7 @@ first-edge reduction: ``extract_initiations`` reads the edges of ``build``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import repeat
@@ -25,7 +26,7 @@ from operator import attrgetter
 import numpy as np
 
 from .events import SchemaError, _csv_columns, _parse_int, _write_csv
-from .graph import ComponentState, InvalidEdgeError, TemporalGraph, _intern_records, _replay, build
+from .graph import ComponentState, InvalidEdgeError, TemporalGraph, _intern_records, _replay, _time_column, build
 
 
 class InitiationType(str, Enum):
@@ -54,25 +55,16 @@ class Initiation:
     initiator_was_isolate: bool = False
 
 
-def _initiations(*columns) -> list[Initiation]:
+def _initiations(initiators: list, *columns) -> list[Initiation]:
     """``Initiation`` rows from one column per field, in field order.
 
-    Setting the slots through their member descriptors on ``object.__new__``
-    instances costs half the keyword constructor; the rows are the same.
+    Each slot is set through its member descriptor on ``object.__new__``
+    instances, one ``map`` per field; the rows are those of the keyword
+    constructor, at a fraction of its cost.
     """
-    new, cls = object.__new__, Initiation
-    setters = (getattr(cls, field.name).__set__ for field in fields(cls))
-    set_initiator, set_receiver, set_time, set_itype, set_reciprocal, set_isolated = setters
-    out = []
-    for initiator, receiver, t, itype, reciprocal, isolated in zip(*columns):
-        ini = new(cls)
-        set_initiator(ini, initiator)
-        set_receiver(ini, receiver)
-        set_time(ini, t)
-        set_itype(ini, itype)
-        set_reciprocal(ini, reciprocal)
-        set_isolated(ini, isolated)
-        out.append(ini)
+    out = list(map(object.__new__, repeat(Initiation, len(initiators))))
+    for field, column in zip(fields(Initiation), (initiators, *columns)):
+        deque(map(getattr(Initiation, field.name).__set__, out, column), maxlen=0)
     return out
 
 
@@ -116,16 +108,21 @@ def classify_initiations(initiations: list[Initiation]) -> list[Initiation]:
     join the pair's components for classification purposes. A row reads only
     the latest earlier-processed row of its reverse pair.
     """
-    rows, table = list(initiations), TemporalGraph()  # the graph holds the sorted label table
-    columns = (list(map(attrgetter(name), rows)) for name in ("initiator", "receiver", "time"))
-    src, dst, times = _intern_records(table, *columns)
-    n = len(table._labels)
+    rows = list(initiations)
+    initiators, receivers, times = (list(map(attrgetter(name), rows)) for name in ("initiator", "receiver", "time"))
+    labels = np.array(initiators + receivers) if rows and isinstance(initiators[0], (int, np.integer)) else None
+    if labels is not None and labels.dtype == np.int64:  # int labels are coded by one sort
+        keys, coded = np.unique(labels, return_inverse=True)
+        n, src, dst, times = len(keys), coded[: len(rows)], coded[len(rows) :], _time_column(times)
+    else:
+        table = TemporalGraph()  # the graph holds the sorted label table
+        src, dst, times = _intern_records(table, initiators, receivers, times)
+        n = len(table._labels)
     order = np.lexsort((src * n + dst, times))  # n * n fits in int64 for any label count that fits in memory
     src, dst, times = src[order], dst[order], times[order]
     loops = np.flatnonzero(src == dst)
     if len(loops):
-        (node,) = table._keys([int(src[loops[0]])])
-        raise InvalidEdgeError(f"initiation from {node!r} to itself")
+        raise InvalidEdgeError(f"initiation from {initiators[order[loops[0]]]!r} to itself")
     # A stable sort by unordered pair keeps each pair's rows in processing
     # order. Carrying each direction's last index forward gives every row the
     # latest earlier row of its reverse pair, unless that index lies before
@@ -139,11 +136,17 @@ def classify_initiations(initiations: list[Initiation]) -> list[Initiation]:
     previous = np.where(forward, *last)
     reciprocal = np.empty(len(src), dtype=bool)
     reciprocal[by_pair] = (previous >= group_start) & (pair_times[previous] < pair_times)
-    src, dst = src.tolist(), dst.tolist()
-    itypes, isolated = [], []
-    _replay([], [], src, dst, (len(src),), 0, itypes, isolated)
-    itypes = map(tuple(InitiationType).__getitem__, itypes)
-    return _initiations(table._keys(src), table._keys(dst), times.tolist(), itypes, reciprocal.tolist(), isolated)
+    codes = []
+    _replay([], [], src.tolist(), dst.tolist(), 0, codes, [])
+    order = order.tolist()
+    return _initiations(
+        list(map(initiators.__getitem__, order)),
+        map(receivers.__getitem__, order),
+        times.tolist(),
+        map(_CODE_TYPES.__getitem__, codes),
+        reciprocal.tolist(),
+        map(_CODE_ISOLATED.__getitem__, codes),
+    )
 
 
 def initiations_from_interactions(interactions) -> list[Initiation]:
@@ -198,18 +201,12 @@ class TimelineStats:
         }
 
 
-def _window_stats(start: int, members: list[Initiation]) -> WindowStats:
-    total = len(members)
-    counts = {t: 0 for t in InitiationType}
-    reciprocal = 0
-    jc_total = 0
-    jc_isolate = 0
-    for ini in members:
-        counts[ini.itype] += 1
-        reciprocal += ini.is_reciprocal
-        if ini.itype is InitiationType.JOINING_COMPONENT:
-            jc_total += 1
-            jc_isolate += ini.initiator_was_isolate
+def _window_stats(start, type_counts: list, reciprocal: int, jc_isolate: int) -> WindowStats:
+    """One window's stats from its counts per type (in InitiationType's order),
+    of reciprocal initiations and of joining-component ones from an isolate."""
+    total = sum(type_counts)
+    counts = dict(zip(InitiationType, type_counts))
+    jc_total = counts[InitiationType.JOINING_COMPONENT]
     shares = {t: c / total for t, c in counts.items()}
     combined = shares[InitiationType.BRIDGING_COMPONENT] + shares[InitiationType.JOINING_ISOLATES]
     return WindowStats(
@@ -234,21 +231,31 @@ def timeline_stats(initiations: list[Initiation], window_seconds: int, start: in
         raise ValueError("window_seconds must be positive")
     if not initiations:
         raise ValueError("no initiations to summarize")
-    if any(i.itype is None for i in initiations):
+    n_types = len(InitiationType)
+    codes = np.fromiter(map(_TYPE_CODES.__getitem__, map(attrgetter("itype"), initiations)), dtype=np.int64)
+    if (codes == n_types).any():
         raise ValueError("initiations must be classified first")
-    t0 = min(i.time for i in initiations) if start is None else start
-    bins: dict[int, list[Initiation]] = {}
-    for ini in initiations:
-        if ini.time < t0:
-            raise ValueError(f"initiation at {ini.time} precedes window start {t0}")
-        key = t0 + window_seconds * ((ini.time - t0) // window_seconds)
-        bins.setdefault(key, []).append(ini)
-    windows = {k: _window_stats(k, members) for k, members in sorted(bins.items())}
+    column = list(map(attrgetter("time"), initiations))
+    times = np.array(column)
+    t0 = start if start is not None else times.min().item() if times.dtype == np.int64 else min(column)
+    early = np.flatnonzero(times < t0)
+    if len(early):
+        raise ValueError(f"initiation at {column[early[0]]} precedes window start {t0}")
+    exact = times.dtype == np.int64 and type(t0) is int and type(window_seconds) is int
+    if not (exact and -(2**63) <= t0 and int(times.max()) - t0 < 2**63 and window_seconds < 2**63):
+        times = np.array(column, dtype=object)  # Python arithmetic, which cannot overflow
+    # Each initiation's window start, and per window its counts by type and by flag.
+    windows, row_window = np.unique(t0 + window_seconds * ((times - t0) // window_seconds), return_inverse=True)
+    reciprocal, isolated = (np.fromiter(map(attrgetter(name), initiations), dtype=bool) for name in _CSV_COLUMNS[4:])
+    jc_isolate = isolated & (codes == 0)
+    type_counts = np.bincount(row_window * n_types + codes, minlength=len(windows) * n_types).reshape(-1, n_types)
+    per_flag = (np.bincount(row_window[flag], minlength=len(windows)).tolist() for flag in (reciprocal, jc_isolate))
+    rows = zip(windows.tolist(), type_counts.tolist(), *per_flag)
     return TimelineStats(
         window_seconds=window_seconds,
         start=t0,
-        windows=windows,
-        overall=_window_stats(t0, list(initiations)),
+        windows={row[0]: _window_stats(*row) for row in rows},
+        overall=_window_stats(t0, type_counts.sum(axis=0).tolist(), int(reciprocal.sum()), int(jc_isolate.sum())),
     )
 
 
@@ -314,5 +321,9 @@ def read_initiations_csv(path) -> list[Initiation]:
     return out
 
 
+_TYPE_CODES = {**{itype: code for code, itype in enumerate(InitiationType)}, None: len(InitiationType)}
+# By graph._replay's codes: the type, and whether the source was an isolate.
+_CODE_TYPES = (*InitiationType, InitiationType.JOINING_COMPONENT)
+_CODE_ISOLATED = (True, False, True, False, False)
 _CSV_COLUMNS = ("initiator", "receiver", "time", "itype", "is_reciprocal", "initiator_was_isolate")
 _ITYPES = {"": None, **{itype.value: itype for itype in InitiationType}}

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import bfs_components, component_of, random_edge_stream, traced_peak
 
+from netchoice import graph as graph_module
 from netchoice.events import DirectedInteraction, DirectedInteractionLog, LogVocab
 from netchoice.graph import (
     InvalidEdgeError,
@@ -12,6 +13,9 @@ from netchoice.graph import (
     TemporalGraph,
     UndefinedShareError,
     UnionFind,
+    _code_span,
+    _scc_core,
+    _tarjan_scc_sizes,
     build,
     largest_wcc_share_series,
 )
@@ -580,3 +584,140 @@ def test_build_peak_per_input_row():
     g, peak = traced_peak(lambda: build(log))
     assert g.n_edges == 1600
     assert peak <= 32 * n, f"{peak / n:.1f} bytes per input row"
+
+
+def trim_oracle(pairs):
+    """The SCC trim rule one round at a time over Python sets: the edges left
+    after each round, and the edges left at the end, in their given order."""
+    edges, left = list(pairs), []
+    while edges:
+        both = {s for s, _ in edges} & {d for _, d in edges}
+        kept = [(s, d) for s, d in edges if s in both and d in both]
+        removed = len(edges) - len(kept)
+        edges = kept
+        left.append(len(kept))
+        if 4 * removed < removed + len(kept):
+            break
+    return left, edges
+
+
+def untrimmed_scc(g):
+    """``scc_snapshot`` through Tarjan over every edge before the cursor, with no trimming."""
+    src, dst = np.array(g._srcs[: g._ptr]), np.array(g._dsts[: g._ptr])
+    sizes = _tarjan_scc_sizes(src, dst, _code_span(src, dst))
+    return sorted(sizes + [1] * (g.activated_count() - sum(sizes)), reverse=True)
+
+
+def binary_in_tree(depth):
+    """Edges child -> parent of a complete binary tree, nodes 0 (root) to 2 ** (depth + 1) - 2 in heap order."""
+    return [(child, (child - 1) // 2) for child in range(1, 2 ** (depth + 1) - 1)]
+
+
+def cycle(nodes):
+    return list(zip(nodes, nodes[1:] + nodes[:1]))
+
+
+TREE = binary_in_tree(6)  # nodes 0-126
+TREE_INTO_CYCLE = TREE + [(0, 127)] + cycle([127, 128, 129])
+CHAIN = [0, 2, 5, 9, 14, 20]  # first node of each cycle
+SCC_CASES = {
+    # Each round trims one tree level; the seventh removes the root's edge
+    # into the cycle, and the eighth removes nothing: the cycle is left.
+    "tree-into-cycle": (TREE_INTO_CYCLE, [66, 34, 18, 10, 6, 4, 3, 3]),
+    # A 40-edge tail out of the cycle loses one edge a round, so the third
+    # round removes under a quarter and a core with trimmable nodes is left.
+    "tree-into-cycle-with-tail": (TREE_INTO_CYCLE + list(zip([127, *range(130, 169)], range(130, 170))), [105, 72, 55]),
+    # One round removes the path's first edge, then the rule stops: Tarjan
+    # walks the 4,990-edge path into the 10-node cycle.
+    "path-into-cycle": ([(i, i + 1) for i in range(4999)] + [(4999, 4990)], [4999]),
+    # Cycles of 2-6 nodes, each joined to the next by one edge: no node can be trimmed.
+    "chain-of-cycles": (
+        [edge for k in range(2, 7) for edge in cycle(list(range(CHAIN[k - 2], CHAIN[k - 1])))]
+        + list(zip(CHAIN[:4], CHAIN[1:5])),
+        [24],
+    ),
+}
+
+
+class TestSCCTrimming:
+    """``scc_snapshot`` trims nodes that cannot lie on a cycle before Tarjan runs.
+
+    Every case lists the edges left after each round at the last cursor;
+    partial cursors replay the edges in a shuffled time order, so prefixes
+    of each shape reach Tarjan too.
+    """
+
+    @pytest.mark.parametrize("case", sorted(SCC_CASES))
+    def test_rounds(self, case):
+        pairs, rounds = SCC_CASES[case]
+        assert trim_oracle(pairs)[0] == rounds
+        src, dst = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+        left = _scc_core(src, dst)
+        assert list(zip(*(column.tolist() for column in left))) == trim_oracle(pairs)[1]
+
+    @pytest.mark.parametrize("case", sorted(SCC_CASES))
+    def test_partial_cursors_match_untrimmed_tarjan(self, case, monkeypatch):
+        pairs, _ = SCC_CASES[case]
+        rng = np.random.default_rng(len(pairs))
+        times = rng.permutation(len(pairs)).tolist()
+        g = build([(s, d, t) for (s, d), t in zip(pairs, times)])
+        by_time = [pair for _, pair in sorted(zip(times, pairs))]
+        fed = []
+
+        def spy(src_codes, dst_codes, n):
+            fed.append(sorted(zip(src_codes.tolist(), dst_codes.tolist())))
+            return _tarjan_scc_sizes(src_codes, dst_codes, n)
+
+        monkeypatch.setattr(graph_module, "_tarjan_scc_sizes", spy)
+        small = len(pairs) < 1000
+        for cursor in sorted({len(pairs) // 7, len(pairs) // 3, len(pairs) // 2, len(pairs) - 1, len(pairs)}):
+            g.advance_to(cursor)
+            # Codes equal labels: the labels are 0 to n - 1.
+            prefix = by_time[:cursor]
+            snapshot = g.scc_snapshot()
+            assert fed.pop() == sorted(trim_oracle(prefix)[1]), cursor
+            assert snapshot == untrimmed_scc(g), cursor
+            if small:
+                assert snapshot == scc_sizes_oracle(set(prefix), {n for pair in prefix for n in pair}), cursor
+
+    def test_last_cursor_sizes(self):
+        g = build([(s, d, 0) for s, d in SCC_CASES["path-into-cycle"][0]])
+        g.advance_to(1)
+        assert g.scc_snapshot() == [10] + [1] * 4990
+        g = build([(s, d, 0) for s, d in SCC_CASES["chain-of-cycles"][0]])
+        g.advance_to(1)
+        assert g.scc_snapshot() == [6, 5, 4, 3, 2]
+
+
+class TestActivationOrder:
+    """Nodes 9 and 10 activate together: ``str`` order puts 10 first, int order 9."""
+
+    def graph(self):
+        return build([(9, 10, 5), (3, 9, 7), (10, 3, 7)], extra_nodes={4: 2, 12: 5})
+
+    def test_prefix_order_and_counts(self):
+        g = self.graph()
+        nodes, k = g.activation_prefix(6)
+        assert (nodes, k) == ([4, 10, 12, 9, 3], 4)
+        assert g.nodes_activated_before(6) == [4, 10, 12, 9]
+        for t, expected in [(2, 0), (3, 1), (5, 1), (6, 4), (8, 5)]:
+            assert g.activated_count(t) == expected == g.activation_prefix(t)[1], t
+        rows = list(largest_wcc_share_series(g))
+        assert [(t, count) for t, count, _, _ in rows] == [(5, 4), (7, 5)]
+        assert [(count, g.activated_count(t + 1)) for t, count, _, _ in rows] == [(4, 4), (5, 5)]
+
+    def test_register_after_series_invalidates(self):
+        g = self.graph()
+        list(largest_wcc_share_series(g))
+        assert g.activated_count() == 5
+        g.register_node(8, 5)
+        assert g.activation_prefix(6) == ([4, 10, 12, 8, 9, 3], 5)
+        assert g.activated_count() == 6 == g.activated_count(8)
+
+    def test_append_after_series_invalidates(self):
+        g = self.graph()
+        list(largest_wcc_share_series(g))
+        assert g.activation_prefix(9) == ([4, 10, 12, 9, 3], 5)
+        assert g.append_edge(11, 9, 9)
+        assert g.activation_prefix(10) == ([4, 10, 12, 9, 3, 11], 6)
+        assert (g.activated_count(9), g.activated_count(10)) == (5, 6)

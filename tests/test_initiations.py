@@ -1,7 +1,9 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import bfs_components, component_of, random_edge_stream
 
@@ -11,6 +13,8 @@ from netchoice.initiations import (
     Initiation,
     InitiationType,
     InvalidEdgeError,
+    TimelineStats,
+    WindowStats,
     _initiations,
     classify_initiation,
     classify_initiations,
@@ -425,3 +429,148 @@ def test_csv_round_trip_non_ascii(tmp_path):
     write_initiations_csv(path, inits)
     assert path.read_bytes().decode("utf-8").splitlines()[1] == "zoë,王,3,joining_isolates,0,1"
     assert read_initiations_csv(path) == inits
+
+
+def window_stats_oracle(start, members):
+    """One window's stats, one initiation at a time."""
+    total = len(members)
+    counts = {t: 0 for t in InitiationType}
+    reciprocal = jc_total = jc_isolate = 0
+    for ini in members:
+        counts[ini.itype] += 1
+        reciprocal += ini.is_reciprocal
+        if ini.itype is InitiationType.JOINING_COMPONENT:
+            jc_total += 1
+            jc_isolate += ini.initiator_was_isolate
+    shares = {t: c / total for t, c in counts.items()}
+    return WindowStats(
+        start=start,
+        total=total,
+        counts=counts,
+        shares=shares,
+        reciprocal_share=reciprocal / total,
+        joining_component_isolate_share=(jc_isolate / jc_total) if jc_total else None,
+        bridging_or_isolates_share=shares[BC] + shares[JI],
+    )
+
+
+def timeline_oracle(initiations, window_seconds, start=None):
+    """``timeline_stats`` binning one initiation at a time, in Python ints."""
+    t0 = min(i.time for i in initiations) if start is None else start
+    bins = {}
+    for ini in initiations:
+        if ini.time < t0:
+            raise ValueError(f"initiation at {ini.time} precedes window start {t0}")
+        bins.setdefault(t0 + window_seconds * ((ini.time - t0) // window_seconds), []).append(ini)
+    windows = {k: window_stats_oracle(k, members) for k, members in sorted(bins.items())}
+    return TimelineStats(window_seconds, t0, windows, window_stats_oracle(t0, list(initiations)))
+
+
+def assert_same_timeline(inits, window_seconds, start=None):
+    """Equal stats, keys and value types included (``repr`` tells 5 from np.int64(5)), or the same error."""
+    try:
+        expected = timeline_oracle(inits, window_seconds, start)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            timeline_stats(inits, window_seconds, start)
+        assert str(got.value) == str(err)
+        return
+    got = timeline_stats(inits, window_seconds, start)
+    assert repr(got) == repr(expected)
+    assert got.to_json_dict() == expected.to_json_dict()
+
+
+# Time bases near both ends of int64 and far apart, so spans reach past int64 too.
+TIME_BASES = (0, 10**12, -(2**63), 2**63 - 120)
+
+
+@st.composite
+def timeline_inputs(draw):
+    bases = draw(st.lists(st.sampled_from(TIME_BASES), min_size=1, max_size=2, unique=True))
+    rows = draw(
+        st.lists(
+            st.tuples(st.sampled_from(bases), st.integers(0, 100), st.sampled_from(list(InitiationType)),
+                      st.booleans(), st.booleans()),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    inits = [Initiation("a", "b", base + offset, itype, rec, iso) for base, offset, itype, rec, iso in rows]
+    window = draw(st.one_of(st.integers(1, 60), st.integers(2**62, 2**64)))
+    low = min(i.time for i in inits)
+    start = draw(st.one_of(st.none(), st.integers(-(2**64), 0).map(lambda lag: low + lag), st.integers(low, low + 20)))
+    return inits, window, start
+
+
+class TestTimelineColumns:
+    """``timeline_stats`` bins with numpy; the one-at-a-time loop is the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(timeline_inputs())
+    def test_matches_loop(self, case):
+        assert_same_timeline(*case)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_csv_labels_read_back(self, seed, tmp_path):
+        rng = np.random.default_rng(900 + seed)
+        inits = initiations_from_interactions(random_edge_stream(rng, n_nodes=12, n_edges=150, t_max=400))
+        path = tmp_path / "initiations.csv"
+        write_initiations_csv(path, inits, label=lambda n: f"a{n}")
+        back = read_initiations_csv(path)
+        low = min(i.time for i in back)
+        for window in (1, 7, 50, 1000):
+            for start in (None, low, low - 3, low - 10**6, low + 1):
+                assert_same_timeline(back, window, start)
+
+    def test_windows_without_joining_component(self):
+        inits = [Initiation("a", "b", 0, JI, False, True), Initiation("c", "d", 12, JC, False, True),
+                 Initiation("e", "f", 25, IC, True, False), Initiation("g", "h", 26, BC, False, False)]
+        stats = timeline_stats(inits, 10)
+        assert [w.joining_component_isolate_share for w in stats.windows.values()] == [None, 1.0, None]
+        assert_same_timeline(inits, 10)
+
+    def test_error_names_the_first_early_row(self):
+        inits = [Initiation("a", "b", 9, JI), Initiation("c", "d", 4, JC), Initiation("e", "f", 2, IC)]
+        with pytest.raises(ValueError, match="^initiation at 4 precedes window start 5$"):
+            timeline_stats(inits, 10, start=5)
+        assert_same_timeline(inits, 10, 5)
+
+
+# Times at both ends of int64, with ties.
+EXTREME_TIMES = (-(2**63), -(2**63) + 1, 0, 1, 2**63 - 2, 2**63 - 1)
+
+
+class TestClassifyLabelKinds:
+    """Int, str, np.int64 and mixed labels of one stream classify alike; str labels sort like the ints."""
+
+    KINDS = {
+        "int": lambda x, rng: int(x),
+        "str": lambda x, rng: f"{x + 100:03d}",
+        "np.int64": lambda x, rng: np.int64(x),
+        "mixed": lambda x, rng: np.int64(x) if rng.random() < 0.5 else int(x),
+    }
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_types_and_flags(self, seed):
+        rng = np.random.default_rng(1100 + seed)
+        stream = []
+        for _ in range(int(rng.integers(1, 80))):
+            a, b = rng.choice(np.arange(-40, 41), size=2, replace=False).tolist()
+            stream.append((a, b, EXTREME_TIMES[int(rng.integers(len(EXTREME_TIMES)))]))
+            if rng.random() < 0.3:
+                stream.append((b, a, stream[-1][2]))
+        results = {}
+        for kind, make in self.KINDS.items():
+            rows = [Initiation(make(a, rng), make(b, rng), t) for a, b, t in stream]
+            got = classify_initiations(rows)
+            for name in ("initiator", "receiver"):
+                # Every row carries one of the caller's own label objects, each used once.
+                assert Counter(id(getattr(i, name)) for i in got) == Counter(id(getattr(r, name)) for r in rows)
+            unlabel = (lambda x: int(x) - 100) if kind == "str" else int
+            results[kind] = [
+                (unlabel(i.initiator), unlabel(i.receiver), i.time, i.itype, i.is_reciprocal, i.initiator_was_isolate)
+                for i in got
+            ]
+            if kind == "int":
+                assert got == classify_loop_oracle(rows)
+        assert results["str"] == results["int"] == results["np.int64"] == results["mixed"]

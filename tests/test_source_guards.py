@@ -122,3 +122,40 @@ def test_files_are_read_only_in_events():
     assert paths
     found = [hit for path in paths for hit in reader_calls(path)]
     assert not found, f"file readers outside events.py (use its readers): {', '.join(found)}"
+
+
+MEMBERSHIP = ("isin", "in1d")
+
+
+def membership_calls(path):
+    """``file:line`` of every ``np.isin`` or ``np.in1d`` call, and every import of either from numpy."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            if any(alias.name in MEMBERSHIP for alias in node.names):
+                yield f"{path.name}:{node.lineno}"
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MEMBERSHIP
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+        ):
+            yield f"{path.name}:{node.lineno}"
+
+
+def test_scanner_flags_membership_calls(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "a = np.isin(x, y)\nb = x.searchsorted(y)\nc = numpy.in1d(\n    x, y\n)\nfrom numpy import isin\n"
+        "d = pd.isin(x)\nfrom numpy import sort\n"
+    )
+    assert sorted(membership_calls(path)) == ["mod.py:1", "mod.py:3", "mod.py:6"]
+
+
+def test_no_np_isin_in_package():
+    # The first np.isin call in a process costs 12-15 ms for numpy 2's hash
+    # path; a membership test over sorted keys is a searchsorted.
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    found = [hit for path in paths for hit in membership_calls(path)]
+    assert not found, f"np.isin / np.in1d calls (use searchsorted over sorted keys): {', '.join(found)}"
