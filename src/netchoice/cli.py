@@ -105,6 +105,11 @@ class RunConfig:
             raise ValueError("window_start must precede window_end")
         if self.format not in ("csv", "json-lines"):
             raise ValueError(f"unknown format {self.format!r}")
+        for name in ("threads", "timeline_window", "max_iter"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and > 0")
 
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -570,7 +575,7 @@ def _cmd_report(cfg: RunConfig, args) -> int:
     payload: dict = {"n_initiations": len(inits)}
     lines = [f"initiations            {len(inits)}"]
     if inits:
-        overall = init_mod.timeline_stats(inits, max(cfg.timeline_window, 1)).overall
+        overall = init_mod.timeline_stats(inits, cfg.timeline_window).overall
         payload["type_counts"] = {k.value: v for k, v in overall.counts.items()}
         payload["type_shares"] = {k.value: v for k, v in overall.shares.items()}
         payload["reciprocal_share"] = overall.reciprocal_share

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -185,7 +186,58 @@ def _dedupe_mask(cols: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
     return keep, int(n - len(starts))
 
 
-class EventLog(Sequence):
+class _ColumnLog(Sequence):
+    """Int-code columns over a shared :class:`LogVocab`, one record per row: a
+    subclass names its columns in ``__slots__`` after ``vocab`` and builds row
+    ``i``'s record in ``_row``. A log is a value: each column is a read-only
+    view of the array passed in, and no attribute can be rebound."""
+
+    __slots__ = ()
+
+    def __init__(self, vocab, *columns):
+        names = self.__slots__[1:]
+        if len(columns) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} columns ({', '.join(names)}), got {len(columns)}")
+        object.__setattr__(self, "vocab", vocab)
+        for name, column in zip(names, columns):
+            view = np.asarray(column).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot delete '{name}'")
+
+    def __reduce__(self):
+        return type(self), (self.vocab, *self.columns)
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The columns in ``__slots__`` order."""
+        return tuple(getattr(self, name) for name in self.__slots__[1:])
+
+    def _select(self, mask):
+        """The log of the rows ``mask`` picks."""
+        return type(self)(self.vocab, *(c[mask] for c in self.columns))
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.__slots__[1]))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            raise TypeError("slicing not supported; index rows individually")
+        i, n = operator.index(i), len(self)
+        if not -n <= i < n:
+            raise IndexError(f"row {i} out of range for {n} rows")
+        return self._row(i % n)
+
+    def __iter__(self) -> Iterator:
+        return map(self._row, range(len(self)))
+
+
+class EventLog(_ColumnLog):
     """Columnar store of interaction events sharing a :class:`LogVocab`.
 
     Columns: actor/site/update codes (int32; -1 means absent update_id),
@@ -194,39 +246,13 @@ class EventLog(Sequence):
 
     __slots__ = ("vocab", "actor", "site", "kind", "timestamp", "update")
 
-    def __init__(self, vocab, actor, site, kind, timestamp, update):
-        self.vocab = vocab
-        self.actor = actor
-        self.site = site
-        self.kind = kind
-        self.timestamp = timestamp
-        self.update = update
-
     @classmethod
     def from_records(cls, events: Iterable[InteractionEvent], vocab: LogVocab | None = None) -> "EventLog":
         """Validate records as JSON-lines objects (record ``i`` is line ``i``);
         unlike the file loaders, repeated events are kept."""
         return _event_log(_record_rows(events, INTERACTION_COLUMNS), vocab if vocab is not None else LogVocab())
 
-    def _select(self, mask) -> "EventLog":
-        return EventLog(
-            self.vocab,
-            self.actor[mask],
-            self.site[mask],
-            self.kind[mask],
-            self.timestamp[mask],
-            self.update[mask],
-        )
-
-    def __len__(self) -> int:
-        return len(self.actor)
-
-    def __getitem__(self, i) -> InteractionEvent:
-        if isinstance(i, slice):
-            raise TypeError("slicing not supported; index rows individually")
-        i = int(i)
-        if i < 0:
-            i += len(self)
+    def _row(self, i) -> InteractionEvent:
         ts = int(self.timestamp[i])
         upd = int(self.update[i])
         return InteractionEvent(
@@ -237,23 +263,12 @@ class EventLog(Sequence):
             update_id=None if upd < 0 else self.vocab.updates.id(upd),
         )
 
-    def __iter__(self) -> Iterator[InteractionEvent]:
-        for i in range(len(self)):
-            yield self[i]
 
-
-class UpdateLog(Sequence):
-    """Columnar store of journal updates sharing a :class:`LogVocab`."""
+class UpdateLog(_ColumnLog):
+    """Columnar store of journal updates sharing a :class:`LogVocab`. Columns:
+    author/site/update codes (int32), timestamps (int64) and role codes (int8)."""
 
     __slots__ = ("vocab", "author", "site", "update", "timestamp", "role")
-
-    def __init__(self, vocab, author, site, update, timestamp, role):
-        self.vocab = vocab
-        self.author = author
-        self.site = site
-        self.update = update
-        self.timestamp = timestamp
-        self.role = role
 
     @classmethod
     def from_records(cls, updates: Iterable[UpdateEvent], vocab: LogVocab | None = None) -> "UpdateLog":
@@ -274,15 +289,7 @@ class UpdateLog(Sequence):
         ident = self.vocab.updates.id(int(self.update[row]))
         raise SchemaError(f"duplicate update id '{ident}'", line=row if line_of is None else line_of(row), field="update_id")
 
-    def __len__(self) -> int:
-        return len(self.author)
-
-    def __getitem__(self, i) -> UpdateEvent:
-        if isinstance(i, slice):
-            raise TypeError("slicing not supported; index rows individually")
-        i = int(i)
-        if i < 0:
-            i += len(self)
+    def _row(self, i) -> UpdateEvent:
         return UpdateEvent(
             author_id=self.vocab.authors.id(int(self.author[i])),
             site_id=self.vocab.sites.id(int(self.site[i])),
@@ -291,23 +298,12 @@ class UpdateLog(Sequence):
             role_label=ROLE_LABELS[self.role[i]],
         )
 
-    def __iter__(self) -> Iterator[UpdateEvent]:
-        for i in range(len(self)):
-            yield self[i]
 
-
-class DirectedInteractionLog(Sequence):
-    """Columnar store of directed author->author interactions."""
+class DirectedInteractionLog(_ColumnLog):
+    """Columnar store of directed author->author interactions. Columns: source/target
+    author codes (int32), timestamps (int64), kind codes (int8) and site codes (int32)."""
 
     __slots__ = ("vocab", "src", "dst", "timestamp", "kind", "site")
-
-    def __init__(self, vocab, src, dst, timestamp, kind, site):
-        self.vocab = vocab
-        self.src = src
-        self.dst = dst
-        self.timestamp = timestamp
-        self.kind = kind
-        self.site = site
 
     @classmethod
     def from_records(cls, records: Iterable[DirectedInteraction], vocab: LogVocab | None = None) -> "DirectedInteractionLog":
@@ -325,24 +321,9 @@ class DirectedInteractionLog(Sequence):
             src.append(vocab.authors.code(rec.source_author))
             dst.append(vocab.authors.code(rec.target_author))
             site.append(vocab.sites.code(rec.via_site))
-        return cls(
-            vocab,
-            np.asarray(src, dtype=np.int32),
-            np.asarray(dst, dtype=np.int32),
-            np.asarray(ts, dtype=np.int64),
-            np.asarray(kind, dtype=np.int8),
-            np.asarray(site, dtype=np.int32),
-        )
+        return cls(vocab, src, dst, ts, kind, site)
 
-    def __len__(self) -> int:
-        return len(self.src)
-
-    def __getitem__(self, i) -> DirectedInteraction:
-        if isinstance(i, slice):
-            raise TypeError("slicing not supported; index rows individually")
-        i = int(i)
-        if i < 0:
-            i += len(self)
+    def _row(self, i) -> DirectedInteraction:
         return DirectedInteraction(
             source_author=self.vocab.authors.id(int(self.src[i])),
             target_author=self.vocab.authors.id(int(self.dst[i])),
@@ -350,10 +331,6 @@ class DirectedInteractionLog(Sequence):
             kind=KINDS[self.kind[i]],
             via_site=self.vocab.sites.id(int(self.site[i])),
         )
-
-    def __iter__(self) -> Iterator[DirectedInteraction]:
-        for i in range(len(self)):
-            yield self[i]
 
 
 def _parse_int(text, line, field, minimum=0):
@@ -605,14 +582,7 @@ def _event_log(rows, vocab: LogVocab) -> EventLog:
         kind.append(kcode)
         ts.append(tval)
         upd.append(ucode)
-    return EventLog(
-        vocab,
-        np.asarray(actor, dtype=np.int32),
-        np.asarray(site, dtype=np.int32),
-        np.asarray(kind, dtype=np.int8),
-        np.asarray(ts, dtype=np.int64),
-        np.asarray(upd, dtype=np.int32),
-    )
+    return EventLog(vocab, actor, site, kind, ts, upd)
 
 
 def _update_log(rows, vocab: LogVocab) -> UpdateLog:
@@ -636,14 +606,7 @@ def _update_log(rows, vocab: LogVocab) -> UpdateLog:
         upd.append(vocab.updates.code(u))
         ts.append(_parse_int(t, lineno, "timestamp"))
         role.append(rcode)
-    return UpdateLog(
-        vocab,
-        np.asarray(author, dtype=np.int32),
-        np.asarray(site, dtype=np.int32),
-        np.asarray(upd, dtype=np.int32),
-        np.asarray(ts, dtype=np.int64),
-        np.asarray(role, dtype=np.int8),
-    )
+    return UpdateLog(vocab, author, site, upd, ts, role)
 
 
 # Lines of a CSV log that the bulk path checks and converts at once, read 64
@@ -670,8 +633,7 @@ def _read_log(path, fmt, columns, vocab, bulk_block, row_log):
         rest = row_log(_open_rows(path, fmt, columns, resume), vocab)
         if log is None:
             return rest
-        slots = log.__slots__[1:]
-        log = type(log)(vocab, *(np.concatenate((getattr(log, s), getattr(rest, s))) for s in slots))
+        log = type(log)(vocab, *map(np.concatenate, zip(log.columns, rest.columns)))
     return log
 
 
@@ -706,15 +668,14 @@ def _bulk_csv(path, columns, vocab, bulk_block):
                 if log is None:
                     resume = offset + int(lo), line
                     break
-                cols = [getattr(log, s) for s in log.__slots__[1:]]
                 if kind is None:
-                    kind, grown = type(log), [array({1: "b", 4: "i", 8: "q"}[c.itemsize]) for c in cols]
-                for out, c in zip(grown, cols):
+                    kind, grown = type(log), [array({1: "b", 4: "i", 8: "q"}[c.itemsize]) for c in log.columns]
+                for out, c in zip(grown, log.columns):
                     out.frombytes(c.tobytes())
                 line += len(block)
             offset += int(ends[-1])
             data = data[ends[-1] :]
-    return (None if kind is None else kind(vocab, *(np.frombuffer(g, np.dtype(g.typecode)) for g in grown))), resume
+    return (None if kind is None else kind(vocab, *grown)), resume
 
 
 def _bulk_fields(buf):
@@ -822,7 +783,7 @@ def load_events(path, fmt: str = "csv", vocab: LogVocab | None = None) -> tuple[
     field.
     """
     log = _read_log(path, fmt, INTERACTION_COLUMNS, vocab, _bulk_events, _event_log)
-    keep, removed = _dedupe_mask((log.actor, log.site, log.kind, log.timestamp, log.update))
+    keep, removed = _dedupe_mask(log.columns)
     if removed:
         log = log._select(keep)
     return log, removed
@@ -831,9 +792,9 @@ def load_events(path, fmt: str = "csv", vocab: LogVocab | None = None) -> tuple[
 def load_updates(path, fmt: str = "csv", vocab: LogVocab | None = None) -> tuple[UpdateLog, int]:
     """Load journal updates; returns (log, number of duplicate rows removed)."""
     log = _read_log(path, fmt, UPDATE_COLUMNS, vocab, _bulk_updates, _update_log)
-    keep, removed = _dedupe_mask((log.author, log.site, log.update, log.timestamp, log.role))
+    keep, removed = _dedupe_mask(log.columns)
     if removed:
-        log = UpdateLog(log.vocab, log.author[keep], log.site[keep], log.update[keep], log.timestamp[keep], log.role[keep])
+        log = log._select(keep)
 
     def line_of(row):  # error path only: re-read the file up to the kept row
         row = int(np.flatnonzero(keep)[row])

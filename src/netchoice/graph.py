@@ -104,21 +104,6 @@ class UnionFind:
         return a == b or self.find(a) == self.find(b)
 
 
-class ComponentState:
-    """Weak-component view of a union-find, as initiation classification reads it."""
-
-    __slots__ = ("dsu",)
-
-    def __init__(self, dsu: UnionFind):
-        self.dsu = dsu
-
-    def component_size(self, x) -> int:
-        return self.dsu.component_size(x)
-
-    def same_component(self, a, b) -> bool:
-        return self.dsu.same_component(a, b)
-
-
 # Replay codes: 0-3 index InitiationType's members (joining component,
 # bridging, joining isolates, intra component) and 4 is a joining component
 # from a connected source. Across two components the code is picked by

@@ -26,7 +26,7 @@ from operator import attrgetter
 import numpy as np
 
 from .events import SchemaError, _csv_columns, _parse_int, _write_csv
-from .graph import ComponentState, InvalidEdgeError, TemporalGraph, _intern_records, _replay, _time_column, build
+from .graph import InvalidEdgeError, TemporalGraph, _intern_records, _replay, _time_column, build
 
 
 class InitiationType(str, Enum):
@@ -81,8 +81,8 @@ def extract_initiations(interactions) -> list[Initiation]:
     return _initiations(*graph._endpoints(0, graph.n_edges), graph._times, *unset)
 
 
-def classify_initiation(state: ComponentState, initiator, receiver) -> tuple[InitiationType, bool]:
-    """Classify one edge against the component state strictly before it."""
+def classify_initiation(state, initiator, receiver) -> tuple[InitiationType, bool]:
+    """Classify one edge against ``state``, a ``graph.UnionFind`` of the edges strictly before it."""
     if initiator == receiver:
         raise InvalidEdgeError(f"initiation from {initiator!r} to itself")
     connected_i = state.component_size(initiator) >= 2

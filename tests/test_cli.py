@@ -390,6 +390,38 @@ class TestConfigAndDeterminism:
         monkeypatch.setenv("NETCHOICE_THREADS", "banana")
         assert run(["ingest", *base_args(world)]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "command, extra, env, config",
+        [
+            ("ingest", ["--threads", "-3"], None, ""),
+            ("ingest", [], "0", ""),
+            ("ingest", [], None, "threads=0"),
+            ("initiations", ["--timeline-window", "0"], None, ""),
+            ("initiations", [], None, "timeline_window=-5"),
+            ("fit-mnl", [], None, "max_iter=0"),
+            ("fit-mnl", [], None, "tol=-1"),
+            ("fit-mnl", [], None, "tol=0"),
+            ("fit-mnl", [], None, "tol=nan"),
+            ("fit-mnl", [], None, "tol=inf"),
+        ],
+    )
+    def test_out_of_range_setting_is_1_before_any_output(self, world, tmp_path, monkeypatch, command, extra, env, config):
+        # With a valid setting in its place, each of these runs exits 0.
+        choices = tmp_path / "choices.jsonl"
+        choices.write_text("".join(json.dumps({
+            "chooser": "c", "time": i, "alternatives": ["p", "q"], "chosen": chosen, "X": [[1.0], [0.0]], "feature_names": ["x"],
+        }) + "\n" for i, chosen in enumerate([0, 0, 0, 1])))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"window_start=0\nwindow_end=100\ntrain_frac=0.9\n{config}\n")
+        if env is not None:
+            monkeypatch.setenv("NETCHOICE_THREADS", env)
+        inputs = ["--choices", str(choices)] if command == "fit-mnl" else base_args(world)[:4]
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [command, *inputs, "--out-dir", str(out), "--config", str(cfg), *extra]
+        assert run(argv) == EXIT_VALIDATION
+        assert list(out.iterdir()) == []
+
     def test_seed_derivation_is_stable(self):
         assert derive_seed(0, "sample") == derive_seed(0, "sample")
         assert derive_seed(0, "sample") != derive_seed(0, "synth")

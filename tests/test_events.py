@@ -1,5 +1,7 @@
+import copy
 import csv
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -1031,3 +1033,123 @@ def test_bulk_path_takes_benchmark_and_c09_shaped_logs(tmp_path, monkeypatch, li
             want[0].vocab.authors._ids, want[0].vocab.sites._ids, want[0].vocab.updates._ids
         ]
         assert got[2] == want[2]
+
+
+TWO_ROW_LOGS = {
+    "events": lambda: EventLog.from_records(
+        [InteractionEvent("a", "s1", "guestbook", 1), InteractionEvent("b", "s2", "amp", None, "u1")]
+    ),
+    "updates": lambda: UpdateLog.from_records([UpdateEvent("a", "s1", "u1", 1, "P"), UpdateEvent("b", "s2", "u2", 2)]),
+    "directed": lambda: DirectedInteractionLog.from_records(
+        [DirectedInteraction("a", "b", 1, "guestbook", "s1"), DirectedInteraction("b", "a", 2, "comment", "s2")]
+    ),
+}
+
+
+@pytest.mark.parametrize("make", TWO_ROW_LOGS.values(), ids=TWO_ROW_LOGS)
+def test_rows_index_like_a_sequence(make):
+    log = make()
+    rows = [log[0], log[1]]
+    assert rows[0] != rows[1]
+    assert list(log) == rows
+    assert [log[-1], log[-2], log[np.int64(1)]] == [rows[1], rows[0], rows[1]]
+    for i in (2, -3, 10**20, -(10**20)):
+        with pytest.raises(IndexError):
+            log[i]
+    assert list(reversed(log)) == rows[::-1]
+    assert log.index(rows[1]) == 1
+    assert rows[0] in log
+    for key in (slice(0, 1), 1.0, "1"):
+        with pytest.raises(TypeError):
+            log[key]
+
+
+COLUMN_DTYPES = {
+    EventLog: {"actor": np.int32, "site": np.int32, "kind": np.int8, "timestamp": np.int64, "update": np.int32},
+    UpdateLog: {"author": np.int32, "site": np.int32, "update": np.int32, "timestamp": np.int64, "role": np.int8},
+    DirectedInteractionLog: {"src": np.int32, "dst": np.int32, "timestamp": np.int64, "kind": np.int8, "site": np.int32},
+}
+# Every event row but the last is kept by the dedupe; d's event on s1 is a
+# self-interaction, and c's amp takes u1's time. The last update row repeats one.
+VALUE_EVENTS = "a,s1,guestbook,10,\nb,s1,comment,20,u2\nc,s2,amp,,u1\nd,s1,guestbook,30,\na,s1,guestbook,10,\n"
+VALUE_UPDATES = "b,s2,u1,5,P\nd,s1,u2,3,CG\nd,s1,u3,7,\nb,s2,u1,5,P\n"
+
+
+def logs_from_every_path(tmp_path):
+    """Name -> log, for every way the package makes a log."""
+    ev = write(tmp_path, "ev.csv", HEADER + VALUE_EVENTS)
+    up = write(tmp_path, "up.csv", UPDATE_HEADER + VALUE_UPDATES)
+    vocab = LogVocab()
+    updates, removed_updates = load_updates(up, "csv", vocab)
+    events_log, removed_events = load_events(ev, "csv", vocab)
+    assert (removed_updates, removed_events) == (1, 1)
+    resolved = resolve_amp_timestamps(events_log, updates)
+    filtered, removed_self = filter_self_interactions(resolved, updates)
+    assert removed_self == 1
+    logs = {
+        "csv bulk events, deduped": events_log,
+        "csv bulk updates, deduped": updates,
+        "resolve_amp_timestamps": resolved,
+        "filter_self_interactions": filtered,
+        "project_to_author_edges": project_to_author_edges(filtered, updates),
+    }
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(events, "_bulk_csv", lambda *args: (None, None))
+        logs["csv rows events"] = load_events(ev)[0]
+        logs["csv rows updates"] = load_updates(up)[0]
+    handed_over = []
+    bulk_csv = events._bulk_csv
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(events, "_BULK_LINES", 2)
+        patch.setattr(events, "_bulk_csv", lambda *args: handed_over.append(bulk_csv(*args)) or handed_over[-1])
+        logs["csv bulk then rows"] = load_events(write(tmp_path, "over.csv", HEADER + VALUE_EVENTS + 'e,"s3",amp,,u1\n'))[0]
+    assert [(log is None, resume is None) for log, resume in handed_over] == [(False, False)]
+    lines = [dict(zip(events.INTERACTION_COLUMNS, row.split(","))) for row in VALUE_EVENTS.splitlines()]
+    logs["json-lines"] = load_events(write(tmp_path, "ev.jsonl", "".join(json.dumps(o) + "\n" for o in lines)), "json-lines")[0]
+    for name, make in TWO_ROW_LOGS.items():
+        logs[f"{name} from_records"] = make()
+    return logs
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "csv bulk events, deduped", "csv bulk updates, deduped", "csv rows events", "csv rows updates",
+        "csv bulk then rows", "json-lines", "events from_records", "updates from_records", "directed from_records",
+        "resolve_amp_timestamps", "filter_self_interactions", "project_to_author_edges",
+    ],
+)
+def test_log_is_a_value(tmp_path, name):
+    log = logs_from_every_path(tmp_path)[name]
+    dtypes = COLUMN_DTYPES[type(log)]
+    assert log.__slots__[1:] == tuple(dtypes) and len(log) > 0
+    for column_name, column in zip(dtypes, log.columns):
+        assert column is getattr(log, column_name)
+        assert type(column) is np.ndarray and column.dtype == dtypes[column_name], column_name
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = column[0]
+        with pytest.raises(AttributeError):
+            setattr(log, column_name, np.array(column))
+        assert np.array(column).flags.writeable
+    with pytest.raises(AttributeError):
+        log.vocab = LogVocab()
+    with pytest.raises(AttributeError):
+        del log.vocab
+    rows = list(log)
+    for other in (copy.copy(log), copy.deepcopy(log), pickle.loads(pickle.dumps(log))):
+        assert type(other) is type(log) and list(other) == rows
+        assert not any(column.flags.writeable for column in other.columns)
+    assert copy.copy(log).vocab is log.vocab
+    for columns in (log.columns[:-1], log.columns + log.columns[:1]):
+        with pytest.raises(TypeError):
+            type(log)(log.vocab, *columns)
+
+
+@pytest.mark.parametrize("cls", COLUMN_DTYPES)
+def test_log_views_the_callers_arrays(cls):
+    columns = [np.arange(3, dtype=dtype) for dtype in COLUMN_DTYPES[cls].values()]
+    log = cls(LogVocab(), *columns)
+    for mine, its in zip(columns, log.columns):
+        assert mine.flags.writeable and not its.flags.writeable
+        assert np.shares_memory(mine, its)

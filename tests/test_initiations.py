@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import bfs_components, component_of, random_edge_stream
 
 from netchoice.events import DirectedInteraction, DirectedInteractionLog, SchemaError, unique_pair_count
-from netchoice.graph import ComponentState, UnionFind, build
+from netchoice.graph import UnionFind, build
 from netchoice.initiations import (
     Initiation,
     InitiationType,
@@ -105,33 +105,33 @@ class TestExtract:
 
 class TestClassify:
     def test_both_isolates(self):
-        state = ComponentState(UnionFind())
+        state = UnionFind()
         assert classify_initiation(state, "a", "b") == (JI, True)
 
     def test_isolate_joins_component(self):
         dsu = UnionFind()
         dsu.union("b", "c")
         dsu.union("c", "d")
-        itype, was_isolate = classify_initiation(ComponentState(dsu), "a", "b")
+        itype, was_isolate = classify_initiation(dsu, "a", "b")
         assert (itype, was_isolate) == (JC, True)
-        itype, was_isolate = classify_initiation(ComponentState(dsu), "b", "a")
+        itype, was_isolate = classify_initiation(dsu, "b", "a")
         assert (itype, was_isolate) == (JC, False)
 
     def test_intra_component_via_path(self):
         dsu = UnionFind()
         dsu.union("a", "c")
         dsu.union("c", "b")
-        assert classify_initiation(ComponentState(dsu), "a", "b") == (IC, False)
+        assert classify_initiation(dsu, "a", "b") == (IC, False)
 
     def test_bridging(self):
         dsu = UnionFind()
         dsu.union("a", "x")
         dsu.union("b", "y")
-        assert classify_initiation(ComponentState(dsu), "a", "b") == (BC, False)
+        assert classify_initiation(dsu, "a", "b") == (BC, False)
 
     def test_self_edge_rejected(self):
         with pytest.raises(InvalidEdgeError):
-            classify_initiation(ComponentState(UnionFind()), "a", "a")
+            classify_initiation(UnionFind(), "a", "a")
 
     @pytest.mark.parametrize("seed", range(6))
     def test_stream_matches_bfs_recomputation(self, seed):
@@ -188,7 +188,7 @@ def classify_loop_oracle(initiations):
     """One edge at a time through ``classify_initiation`` and ``UnionFind``, with a last-time dict per pair."""
     ordered = sorted(initiations, key=lambda i: (i.time, i.initiator, i.receiver))
     dsu = UnionFind()
-    state = ComponentState(dsu)
+    state = dsu
     last_time: dict = {}
     out = []
     for ini in ordered:

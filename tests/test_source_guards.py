@@ -159,3 +159,50 @@ def test_no_np_isin_in_package():
     assert paths
     found = [hit for path in paths for hit in membership_calls(path)]
     assert not found, f"np.isin / np.in1d calls (use searchsorted over sorted keys): {', '.join(found)}"
+
+
+def _is_false(node):
+    return isinstance(node, ast.Constant) and node.value is False
+
+
+def _is_flags(node):
+    return isinstance(node, ast.Attribute) and node.attr == "flags"
+
+
+def writable_flag_sets(path):
+    """``file:line`` of every ``setflags`` call whose ``write`` is not False,
+    and every value but False set to ``.flags.writeable`` or ``.flags["WRITEABLE"]``
+    (or their short names)."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "setflags":
+            write = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "write"]
+            if any(not _is_false(value) for value in write):
+                yield f"{path.name}:{node.lineno}"
+        elif isinstance(node, ast.Assign) and not _is_false(node.value):
+            for target in node.targets:
+                if isinstance(target, ast.Attribute) and _is_flags(target.value) and target.attr in ("writeable", "w"):
+                    yield f"{path.name}:{node.lineno}"
+                elif (
+                    isinstance(target, ast.Subscript) and _is_flags(target.value)
+                    and isinstance(target.slice, ast.Constant) and target.slice.value in ("WRITEABLE", "W")
+                ):
+                    yield f"{path.name}:{node.lineno}"
+
+
+def test_scanner_flags_writable_flag_sets(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "a.setflags(write=True)\nb.flags.writeable = False\nc.flags.writeable = True\nd.flags['WRITEABLE'] = True\n"
+        "e.setflags(write=False)\nf.setflags(True)\ng.flags.w = flag\nh.setflags(align=True)\ni.flags['W'] = 1\n"
+        "j.writeable = True\n"
+    )
+    assert sorted(writable_flag_sets(path)) == ["mod.py:1", "mod.py:3", "mod.py:4", "mod.py:6", "mod.py:7", "mod.py:9"]
+
+
+def test_no_array_made_writable_in_package():
+    # A log's columns are read-only views, so a log is a value that callers
+    # may share and memoize; making an array writable again would undo that.
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    found = [hit for path in paths for hit in writable_flag_sets(path)]
+    assert not found, f"arrays made writable (copy with np.array instead): {', '.join(found)}"
