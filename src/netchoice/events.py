@@ -190,9 +190,11 @@ class _ColumnLog(Sequence):
     """Int-code columns over a shared :class:`LogVocab`, one record per row: a
     subclass names its columns in ``__slots__`` after ``vocab`` and builds row
     ``i``'s record in ``_row``. A log is a value: each column is a read-only
-    view of the array passed in, and no attribute can be rebound."""
+    view of the array passed in, and no attribute can be rebound. ``_memo``
+    is no column: ``graph`` keeps a directed log's first-edge reduction there,
+    and copies and pickles start without it."""
 
-    __slots__ = ()
+    __slots__ = ("_memo",)
 
     def __init__(self, vocab, *columns):
         names = self.__slots__[1:]

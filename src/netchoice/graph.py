@@ -12,13 +12,15 @@ One reduction builds every graph. ``build`` turns its input into three int64
 columns -- a log already holds vocabulary codes; record labels are interned
 in sorted order, so codes sort like the labels -- and one numpy pass keeps
 the first edge per ordered pair with its interaction count, finds every
-endpoint's activation time and rejects self-edges. The edges are stored as
-``array('q')`` code columns in (time, source, target) order, which
-``append_edge`` grows. A graph whose nodes are not vocabulary codes also
-keeps a label table; node keys and codes are translated only when an edge is
-stored, a row is cut, a component root is read, a choice set is recorded for
-the feature kernel, and in ``edges()``, so every query is keyed by the node
-keys callers pass.
+endpoint's activation time and rejects self-edges. A log keeps its
+reduction, so it is reduced once however many graphs are built from it. The
+edges are read-only int64 code columns in (time, source, target) order,
+shared by every graph of one log; the first ``append_edge`` copies them into
+the ``array('q')`` columns it grows. A graph whose nodes are not vocabulary
+codes also keeps a label table; node keys and codes are translated only when
+an edge is stored, a row is cut, a component root is read, a choice set is
+recorded for the feature kernel, and in ``edges()``, so every query is keyed
+by the node keys callers pass.
 
 Adjacency is not replayed. Each node's out- and in-edges form rows sorted by
 (time, edge order), cut from one stable sort of the edge columns the first
@@ -109,6 +111,8 @@ class UnionFind:
 # from a connected source. Across two components the code is picked by
 # (source connected, target connected).
 _OPEN_TYPE = ((2, 0), (4, 1))
+_EMPTY = np.zeros(0, dtype=np.int64)  # an edge-free graph's columns
+_EMPTY.flags.writeable = False
 
 
 def _replay(parent: list, size: list, srcs, dsts, largest: int, codes=None, running=None) -> int:
@@ -256,9 +260,10 @@ class TemporalGraph:
 
     def __init__(self, vocab=None):
         self.vocab = vocab
-        # int64 code columns in time order. numpy reads copies: a live buffer
-        # view would make the next append raise BufferError.
-        self._times, self._srcs, self._dsts, self._counts = (array("q") for _ in range(4))
+        # int64 code columns in time order: read-only arrays until the first
+        # append turns them into array('q'). numpy reads copies of those: a
+        # live buffer view would make the next append raise BufferError.
+        self._times = self._srcs = self._dsts = self._counts = _EMPTY
         self._labels: list | None = None if vocab is not None else []  # code -> node key
         self._code_of: dict | None = None if vocab is not None else {}  # node key -> code
         self._activation: dict = {}
@@ -325,7 +330,7 @@ class TemporalGraph:
     def edges(self):
         """Iterate (source, target, first_time, interaction_count) in time order; times and counts are Python ints."""
         srcs, dsts = self._endpoints(0, len(self._times))
-        return zip(srcs, dsts, self._times, self._counts)
+        return zip(srcs, dsts, self._times.tolist(), self._counts.tolist())
 
     def register_node(self, node, time) -> None:
         """Record a node activation (e.g. a first update) outside the edge stream."""
@@ -375,7 +380,7 @@ class TemporalGraph:
         ptr = self._ptr
         end = bisect_left(self._times, t, ptr)
         if end > ptr:
-            srcs, dsts = self._srcs[ptr:end], self._dsts[ptr:end]
+            srcs, dsts = self._srcs[ptr:end].tolist(), self._dsts[ptr:end].tolist()
             self._largest = _replay(self._parent, self._size, srcs, dsts, self._largest)
             self._ptr = end
         self._cursor = t
@@ -385,17 +390,25 @@ class TemporalGraph:
 
         Returns True when the ordered pair is new (a fresh edge), False when
         it only increments an existing edge's interaction count. Appends must
-        keep the stream time-sorted.
+        keep the stream time-sorted. On a graph of codes (built from a log), a
+        node that is not a non-negative int raises ValueError.
         """
+        if self._code_of is None:  # a graph of codes
+            for node in (src, dst):
+                if self._code(node) is None:
+                    raise ValueError(f"node {node!r} is not an author code")
         if src == dst:
             raise InvalidEdgeError(f"self-edge {src!r}")
         times = self._times
-        if times and t < times[-1]:
+        if len(times) and t < times[-1]:
             raise MonotonicityError(f"append at {t} precedes last edge time {times[-1]}")
         if t < self._cursor:
             raise MonotonicityError(f"append at {t} precedes cursor {self._cursor}")
-        if self._pair_index is None:
+        if self._pair_index is None:  # the first append: the shared columns become the graph's own
             self._pair_index = {pair: i for i, pair in enumerate(zip(*self._endpoints(0, len(times))))}
+            columns = (self._times, self._srcs, self._dsts, self._counts)
+            self._times, self._srcs, self._dsts, self._counts = (array("q", column.tobytes()) for column in columns)
+            times = self._times
         idx = self._pair_index.get((src, dst))
         if idx is not None:
             self._counts[idx] += 1
@@ -426,12 +439,13 @@ class TemporalGraph:
     # -- queries (state strictly before the cursor) -------------------------
 
     def _row_index(self) -> _RowIndex:
-        """The index of every edge, built on first use from copies of the
-        columns (a live view would make the next append fail). Once an edge
-        has been appended, it is built with room for more."""
+        """The index of every edge, built on first use. Once an edge has been
+        appended, it is built with room for more, from copies of the
+        ``array('q')`` columns (a live view would make the next append fail)."""
         if self._index is None:
-            columns = (np.array(column) for column in (self._times, self._srcs, self._dsts))
-            self._index = _RowIndex(*columns, room=self._pair_index is not None)
+            grown = self._pair_index is not None
+            columns = (np.array(column) if grown else column for column in (self._times, self._srcs, self._dsts))
+            self._index = _RowIndex(*columns, room=grown)
         return self._index
 
     def _row(self, node) -> tuple[list, list, list, list]:
@@ -485,7 +499,7 @@ class TemporalGraph:
 
     def scc_snapshot(self) -> list[int]:
         """Strongly-connected component sizes (descending) before the cursor."""
-        src_codes, dst_codes = _scc_core(np.array(self._srcs[: self._ptr]), np.array(self._dsts[: self._ptr]))
+        src_codes, dst_codes = _scc_core(np.asarray(self._srcs[: self._ptr]), np.asarray(self._dsts[: self._ptr]))
         sizes = _tarjan_scc_sizes(src_codes, dst_codes, _code_span(src_codes, dst_codes))
         # Every endpoint lies in exactly one SCC; the other activated nodes are isolates.
         sizes.extend([1] * (self.activated_count() - sum(sizes)))
@@ -518,15 +532,17 @@ def build(interactions, extra_nodes=None) -> TemporalGraph:
     """
     if isinstance(interactions, DirectedInteractionLog):
         graph = TemporalGraph(vocab=interactions.vocab)
-        src, dst, times = interactions.src, interactions.dst, interactions.timestamp
+        reduced = _reduced(interactions)
     else:
         graph = TemporalGraph()
         rows = [
             (rec.source_author, rec.target_author, rec.timestamp) if isinstance(rec, DirectedInteraction) else rec
             for rec in interactions
         ]
-        src, dst, times = _intern_records(graph, *(list(map(itemgetter(i), rows)) for i in range(3)))
-    _first_edges(graph, src, dst, times)
+        columns = _intern_records(graph, *(list(map(itemgetter(i), rows)) for i in range(3)))
+        reduced = _reduced(columns, graph._labels)
+    graph._times, graph._srcs, graph._dsts, graph._counts, nodes, first_times = reduced
+    graph._activation = dict(zip(graph._keys(nodes.tolist()), first_times.tolist()))
     if extra_nodes:
         for node, t in extra_nodes.items():
             graph.register_node(node, t)
@@ -553,18 +569,37 @@ def _time_column(times: list):
     return column
 
 
-def _first_edges(graph: TemporalGraph, src, dst, times) -> None:
-    """Store the first edge per ordered (src, dst) code pair, with its count, and activate endpoints.
+def _reduced(source, labels=None) -> tuple:
+    """The first-edge reduction of ``source``: a DirectedInteractionLog, or the
+    (src, dst, times) code columns of records, whose ``labels`` name a self-edge.
 
-    The one first-edge reduction: every graph is built here, and
-    ``extract_initiations`` reads its edges.
+    A log keeps its reduction in its ``_memo`` slot, so it is reduced once
+    however many graphs are built from it. This is the one caller of
+    ``_first_edges``.
+    """
+    memo = getattr(source, "_memo", None)
+    if memo is None:
+        is_log = isinstance(source, DirectedInteractionLog)
+        memo = _first_edges(*((source.src, source.dst, source.timestamp) if is_log else source), labels)
+        if is_log:
+            object.__setattr__(source, "_memo", memo)
+    return memo
+
+
+def _first_edges(src, dst, times, labels=None) -> tuple:
+    """The first edge per ordered (src, dst) code pair and each endpoint's activation.
+
+    The one first-edge reduction. Returns read-only int64 columns: the edges'
+    times, sources, targets and interaction counts in (time, src, dst) order,
+    then every endpoint code and its activation time. A self-edge raises
+    InvalidEdgeError naming its code, or its label from ``labels``.
     """
     loops = np.flatnonzero(src == dst)
     if len(loops):
-        (node,) = graph._keys([int(src[loops[0]])])
-        raise InvalidEdgeError(f"self-edge {node!r}")
+        node = int(src[loops[0]])
+        raise InvalidEdgeError(f"self-edge {node if labels is None else labels[node]!r}")
     if len(src) == 0:
-        return
+        return (_EMPTY,) * 6
     # The code columns are not widened; the packed key, its sort order and
     # the sorted keys are the only row-length temporaries, each freed once used.
     span = _code_span(src, dst)
@@ -577,17 +612,17 @@ def _first_edges(graph: TemporalGraph, src, dst, times) -> None:
     first[1:] = k_sorted[1:] != k_sorted[:-1]
     starts = np.flatnonzero(first)
     counts = np.diff(np.append(starts, len(k_sorted)))
-    pair, first_times = k_sorted[starts], times[order[starts]]
+    pair, first_times = k_sorted[starts], times[order[starts]].astype(np.int64, copy=False)
     del k_sorted, order
     srcs, dsts = pair // span, pair % span
     by_time = np.argsort(first_times, kind="stable")  # the pairs are in (src, dst) order
-    columns = (first_times[by_time], srcs[by_time], dsts[by_time], counts[by_time])
-    for stored, column in zip((graph._times, graph._srcs, graph._dsts, graph._counts), columns):
-        stored.frombytes(column.astype(np.int64, copy=False).tobytes())
+    first_times, srcs, dsts = first_times[by_time], srcs[by_time], dsts[by_time]
     # Edges are time-sorted, so a node's first appearance is its activation.
-    first_times, srcs, dsts = columns[:3]
     nodes, at = np.unique(np.column_stack((srcs, dsts)).ravel(), return_index=True)
-    graph._activation = dict(zip(graph._keys(nodes.tolist()), first_times[at // 2].tolist()))
+    columns = (first_times, srcs, dsts, counts[by_time], nodes, first_times[at // 2])
+    for column in columns:
+        column.flags.writeable = False
+    return columns
 
 
 def _scc_core(src_codes, dst_codes):

@@ -12,7 +12,9 @@ classified by the weak-component positions of its endpoints at that moment:
 A component requires at least two connected authors; size-1 nodes are
 isolates. Equal-timestamp edges are processed in (source, target) order, so
 classification within a tie is deterministic. Extraction is the graph's own
-first-edge reduction: ``extract_initiations`` reads the edges of ``build``.
+first-edge reduction: ``extract_initiations`` reads the edges of ``build``,
+and a log keeps that reduction, so extracting from a log that a graph was
+built from (or building one after) reduces it only once.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def extract_initiations(interactions) -> list[Initiation]:
     """
     graph = interactions if isinstance(interactions, TemporalGraph) else build(interactions)
     unset = repeat(None), repeat(False), repeat(False)
-    return _initiations(*graph._endpoints(0, graph.n_edges), graph._times, *unset)
+    return _initiations(*graph._endpoints(0, graph.n_edges), graph._times.tolist(), *unset)
 
 
 def classify_initiation(state, initiator, receiver) -> tuple[InitiationType, bool]:

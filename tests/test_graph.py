@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from netchoice.graph import (
     build,
     largest_wcc_share_series,
 )
+from netchoice.initiations import extract_initiations
 
 
 def replay(edges, extra_nodes=None):
@@ -721,3 +724,134 @@ class TestActivationOrder:
         assert g.append_edge(11, 9, 9)
         assert g.activation_prefix(10) == ([4, 10, 12, 9, 3, 11], 6)
         assert (g.activated_count(9), g.activated_count(10)) == (5, 6)
+
+
+def directed_log(pairs, n_authors=None):
+    """A log of (source code, target code, time) rows over authors ``a0``, ``a1``, ..."""
+    vocab = LogVocab()
+    src, dst, times = (np.array([row[i] for row in pairs], dtype=dtype) for i, dtype in enumerate("iiq"))
+    for i in range(n_authors if n_authors is not None else int(max(src.max(), dst.max())) + 1):
+        vocab.authors.code(f"a{i}")
+    site = vocab.sites.code("s")
+    return DirectedInteractionLog(vocab, src, dst, times, np.zeros(len(src), dtype=np.int8), np.full(len(src), site, np.int32))
+
+
+MEMO_ROWS = [(0, 1, 5), (1, 2, 6), (0, 1, 7), (2, 0, 6), (3, 1, 9)]
+
+
+def graph_state(g):
+    return list(g.edges()), {n: g.activation_time(n) for n in range(6)}, g.n_edges
+
+
+class TestFirstEdgeMemo:
+    """A directed log is reduced to its first edges once; each graph of it shares that reduction."""
+
+    def test_builds_agree(self):
+        log = directed_log(MEMO_ROWS)
+        first, second = build(log), build(log)
+        assert graph_state(first) == graph_state(second)
+        assert list(first.edges()) == [(0, 1, 5, 2), (1, 2, 6, 1), (2, 0, 6, 1), (3, 1, 9, 1)]
+
+    def test_log_is_reduced_once(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(len(args[0]))
+            return first_edges(*args)
+
+        first_edges = graph_module._first_edges
+        monkeypatch.setattr(graph_module, "_first_edges", spy)
+        log = directed_log(MEMO_ROWS)
+        g = build(log)
+        rows = extract_initiations(log)
+        build(log, extra_nodes={5: 1})
+        assert calls == [len(MEMO_ROWS)]
+        assert [(i.initiator, i.receiver, i.time) for i in rows] == [(s, d, t) for s, d, t, _ in g.edges()]
+        build([("a", "b", 1)])
+        build([("a", "b", 1)])
+        assert calls == [len(MEMO_ROWS), 1, 1]  # records are not memoized
+
+    def test_append_reaches_neither_the_memo_nor_another_graph(self):
+        log = directed_log(MEMO_ROWS, n_authors=6)
+        first, second = build(log), build(log)
+        before = graph_state(second)
+        memo = [column.copy() for column in log._memo]
+        assert first.append_edge(4, 5, 10) and not first.append_edge(0, 1, 11)
+        assert first.n_edges == 5 and list(first.edges())[0] == (0, 1, 5, 3)
+        assert all(np.array_equal(a, b) for a, b in zip(log._memo, memo))
+        assert graph_state(second) == graph_state(build(log)) == before
+
+    def test_copies_and_pickles_carry_no_memo(self):
+        log = directed_log(MEMO_ROWS)
+        build(log)
+        assert log._memo is not None
+        for other in (copy.copy(log), copy.deepcopy(log), pickle.loads(pickle.dumps(log))):
+            assert not hasattr(other, "_memo")
+            assert graph_state(build(other)) == graph_state(build(log))
+
+    def test_self_edge_raises_on_every_build(self):
+        log = directed_log([(0, 1, 1), (2, 2, 3)])
+        for _ in range(2):
+            with pytest.raises(InvalidEdgeError, match="self-edge 2"):
+                build(log)
+        assert not hasattr(log, "_memo")
+
+    def test_extra_nodes_stay_with_their_graph(self):
+        log = directed_log(MEMO_ROWS, n_authors=6)
+        with_extra = build(log, extra_nodes={5: 1, 0: 2})
+        assert (with_extra.activation_time(5), with_extra.activation_time(0)) == (1, 2)
+        plain = build(log)
+        assert (plain.activation_time(5), plain.activation_time(0)) == (None, 5)
+        assert plain.activated_count(100) == 4
+
+    def test_edges_are_python_ints_before_and_after_an_append(self):
+        g = build(directed_log(MEMO_ROWS, n_authors=6))
+        for _ in range(2):
+            edges = list(g.edges())
+            assert edges and all(type(value) is int for edge in edges for value in edge)
+            g.append_edge(4, 5, 20)
+        assert all(type(i.time) is int for i in extract_initiations(g))
+
+    def test_graphs_share_the_memo_until_one_appends(self):
+        log = directed_log(MEMO_ROWS, n_authors=6)
+        first, second = build(log), build(log)
+        columns = ("_times", "_srcs", "_dsts", "_counts")
+        assert all(np.shares_memory(getattr(first, name), getattr(second, name)) for name in columns)
+        first.append_edge(4, 5, 20)
+        assert not any(np.shares_memory(np.asarray(getattr(first, name)), getattr(second, name)) for name in columns)
+        assert all(np.shares_memory(getattr(second, name), column) for name, column in zip(columns, log._memo))
+
+    def test_second_build_copies_no_column(self):
+        # 200k rows over a million possible pairs keep about 180k edges; a
+        # second build that copied its edge columns would take 1.4 MB apiece.
+        rng = np.random.default_rng(3)
+        n = 200_000
+        log = directed_log(list(zip(rng.integers(0, 1000, n), rng.integers(1000, 2000, n), rng.integers(0, 10**6, n))))
+        first = build(log)
+        second, peak = traced_peak(lambda: build(log))
+        assert second.n_edges == first.n_edges > 150_000
+        assert peak < 8 * n, f"{peak} bytes"
+
+
+class TestAppendNodeCheck:
+    """A graph of codes refuses an append whose node is no code, before it stores or copies anything."""
+
+    def test_negative_and_non_int_nodes_are_refused(self):
+        log = DirectedInteractionLog.from_records(
+            [DirectedInteraction("a", "b", 5, "guestbook", "s"), DirectedInteraction("b", "c", 6, "guestbook", "s")]
+        )
+        g = build(log)
+        before, memo = graph_state(g), log._memo
+        for src, dst in ((-1, 2), (2, -1), ("a", 2), (0, 1.0), (None, 2)):
+            with pytest.raises(ValueError, match="is not an author code"):
+                g.append_edge(src, dst, 10)
+        assert graph_state(g) == before and log._memo is memo
+        assert np.shares_memory(g._times, memo[0]) and g._pair_index is None
+        g.advance_to(100)
+        assert g.largest_wcc_share() == 1.0
+        assert g.scc_snapshot() == [1, 1, 1]
+
+    def test_label_graphs_take_any_key(self):
+        g = build([("a", "b", 5)])
+        assert g.append_edge(-1, "a", 6) and g.append_edge(None, -1, 7)
+        assert g.n_edges == 3

@@ -206,3 +206,42 @@ def test_no_array_made_writable_in_package():
     assert paths
     found = [hit for path in paths for hit in writable_flag_sets(path)]
     assert not found, f"arrays made writable (copy with np.array instead): {', '.join(found)}"
+
+
+def first_edge_calls(path):
+    """``file:line in function`` of every call of ``_first_edges``, by name or as
+    an attribute, naming the innermost function around it (``<module>`` at top level)."""
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+                if name == "_first_edges":
+                    yield f"{path.name}:{child.lineno} in {function}"
+            yield from visit(child, function)
+
+    yield from visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+
+
+def test_scanner_flags_first_edge_calls(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "def _reduced(log):\n    return _first_edges(log)\n"
+        "def build(log):\n    def inner():\n        return graph._first_edges(log)\n    return _first_edges_of(log)\n"
+        "x = _first_edges(\n    y,\n)\nf = _first_edges\n"
+    )
+    assert list(first_edge_calls(path)) == ["mod.py:2 in _reduced", "mod.py:5 in inner", "mod.py:7 in <module>"]
+
+
+def test_first_edges_is_called_only_by_the_memo():
+    # A directed log keeps its first-edge reduction, and graph._reduced is
+    # what reads and fills that memo; a second caller of the reduction would
+    # reduce a log again, or build a graph the memo never sees.
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    found = [hit for path in paths for hit in first_edge_calls(path)]
+    assert [hit.split(" in ")[1] for hit in found] == ["_reduced"], f"calls of _first_edges: {', '.join(found)}"
