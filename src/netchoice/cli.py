@@ -20,7 +20,9 @@ import math
 import os
 import sys
 import time
+import typing
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 
@@ -129,12 +131,9 @@ def _parse_config_value(name: str, text: str, target_type):
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     cfg = RunConfig()
-    field_types = {
-        "interactions": str, "updates": str, "geo_posts": str, "site_conditions": str,
-        "format": str, "out_dir": str, "seed": int, "negatives": int,
-        "train_frac": float, "include_state": bool, "timeline_window": int,
-        "window_start": int, "window_end": int, "tol": float, "max_iter": int, "threads": int,
-    }
+    hints = typing.get_type_hints(RunConfig)
+    # Each setting's value type, with ``int | None`` read as ``int``.
+    field_types = {f.name: (typing.get_args(hints[f.name]) or (hints[f.name],))[0] for f in fields(RunConfig)}
     if path is not None:
         updates: dict = {}
         with open(path) as fh:
@@ -189,15 +188,12 @@ def _build_parser() -> _Parser:
     add("network", "build the temporal graph and export edges and component series")
     p = add("initiations", "extract and classify initiations")
     p.add_argument("--timeline-window", type=int, dest="timeline_window", help="timeline bin width in seconds")
-    p = add("authors", "aggregate author roles, conditions, and states")
-    p.add_argument("--geo-posts", dest="geo_posts", help="geo posts CSV")
-    p.add_argument("--site-conditions", dest="site_conditions", help="site conditions CSV")
-    p = add("features", "feature vectors for each realized initiation pair")
-    p.add_argument("--geo-posts", dest="geo_posts", help="geo posts CSV")
-    p.add_argument("--site-conditions", dest="site_conditions", help="site conditions CSV")
-    p = add("sample", "build negative-sampled choice sets")
-    p.add_argument("--geo-posts", dest="geo_posts", help="geo posts CSV")
-    p.add_argument("--site-conditions", dest="site_conditions", help="site conditions CSV")
+    for name, help_text in (("authors", "aggregate author roles, conditions, and states"),
+                            ("features", "feature vectors for each realized initiation pair"),
+                            ("sample", "build negative-sampled choice sets")):
+        p = add(name, help_text)
+        p.add_argument("--geo-posts", dest="geo_posts", help="geo posts CSV")
+        p.add_argument("--site-conditions", dest="site_conditions", help="site conditions CSV")
     p = add("fit-mnl", "fit the conditional multinomial logit")
     p.add_argument("--choices", required=True, help="choice-set JSON-lines file")
     p = add("fit-logit", "fit a binary logistic regression")
@@ -427,6 +423,14 @@ def _cmd_sample(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _write_model(cfg: RunConfig, stem: str, fit, payload: dict) -> None:
+    """Write ``<stem>.json`` and the ``<stem>.txt`` coefficient table, and print the table."""
+    table = fit.text_table()
+    _write_json(_out(cfg, f"{stem}.json"), payload, cfg)
+    Path(_out(cfg, f"{stem}.txt")).write_text(f"config_hash={cfg.config_hash()}\n" + table, encoding="utf-8")
+    print(table)
+
+
 def _cmd_fit_mnl(cfg: RunConfig, args) -> int:
     instances, _ = choices_mod.read_choice_sets(args.choices)
     if not instances:
@@ -443,9 +447,7 @@ def _cmd_fit_mnl(cfg: RunConfig, args) -> int:
     payload["n_test"] = len(test)
     if test:
         payload["test_accuracy"] = estimators.mnl_accuracy(fit, test)
-    _write_json(_out(cfg, "model_mnl.json"), payload, cfg)
-    Path(_out(cfg, "model_mnl.txt")).write_text(f"config_hash={cfg.config_hash()}\n" + fit.text_table(), encoding="utf-8")
-    print(fit.text_table())
+    _write_model(cfg, "model_mnl", fit, payload)
     if test:
         print(f"test accuracy: {payload['test_accuracy']:.4f} over {len(test)} instances")
     return EXIT_OK
@@ -472,7 +474,7 @@ def _fit_glm(cfg: RunConfig, args, fit_fn, stem: str) -> int:
     y = columns[args.outcome]
     if not np.isfinite(X).all() or not np.isfinite(y).all():
         raise ValueError("model data contains missing or non-finite values")
-    fit = fit_fn(X, y, names)
+    fit = fit_fn(X, y, feature_names=names)
     payload = fit.to_json_dict()
     if stem == "model_ols" and getattr(args, "drop", None):
         dropped = {t.strip() for t in args.drop.split(",") if t.strip()}
@@ -481,13 +483,11 @@ def _fit_glm(cfg: RunConfig, args, fit_fn, stem: str) -> int:
             raise ValueError(f"--drop columns not in the model: {sorted(unknown)}")
         kept = [t for t in terms if t not in dropped]
         X_red, names_red = estimators.design_matrix(columns, kept, add_intercept=not args.no_intercept)
-        reduced = fit_fn(X_red, y, names_red)
+        reduced = fit_fn(X_red, y, feature_names=names_red)
         anova = estimators.f_test_nested(fit, reduced)
         payload["anova"] = anova.to_json_dict()
         payload["anova"]["dropped"] = sorted(dropped)
-    _write_json(_out(cfg, f"{stem}.json"), payload, cfg)
-    Path(_out(cfg, f"{stem}.txt")).write_text(f"config_hash={cfg.config_hash()}\n" + fit.text_table(), encoding="utf-8")
-    print(fit.text_table())
+    _write_model(cfg, stem, fit, payload)
     if "anova" in payload:
         a = payload["anova"]
         print(f"nested F test dropping {','.join(a['dropped'])}: "
@@ -496,19 +496,11 @@ def _fit_glm(cfg: RunConfig, args, fit_fn, stem: str) -> int:
 
 
 def _cmd_fit_logit(cfg: RunConfig, args) -> int:
-    return _fit_glm(
-        cfg, args,
-        lambda X, y, names: estimators.logistic_fit(X, y, tol=cfg.tol, max_iter=cfg.max_iter, feature_names=names),
-        "model_logit",
-    )
+    return _fit_glm(cfg, args, partial(estimators.logistic_fit, tol=cfg.tol, max_iter=cfg.max_iter), "model_logit")
 
 
 def _cmd_fit_ols(cfg: RunConfig, args) -> int:
-    return _fit_glm(
-        cfg, args,
-        lambda X, y, names: estimators.ols_fit(X, y, feature_names=names),
-        "model_ols",
-    )
+    return _fit_glm(cfg, args, estimators.ols_fit, "model_ols")
 
 
 def _cmd_bbse(cfg: RunConfig, args) -> int:
@@ -648,11 +640,8 @@ _DISPATCH = {
     "report": _cmd_report,
 }
 
-_CONFIG_OVERRIDE_KEYS = (
-    "interactions", "updates", "geo_posts", "site_conditions", "format",
-    "out_dir", "seed", "negatives", "train_frac", "include_state",
-    "timeline_window", "threads",
-)
+# Every setting a flag can override; a setting with no flag stays None in args.
+_CONFIG_OVERRIDE_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def main(argv=None) -> int:

@@ -1,9 +1,10 @@
 """Maximum-likelihood estimation with full inference output.
 
 Three fitters share one result type: the conditional multinomial logit for
-discrete-choice data (Newton with step-halving on the exact gradient and
-Hessian), binary logistic regression (IRLS), and ordinary least squares (QR).
-Standard errors come from the observed information at the optimum. Nested
+discrete-choice data and binary logistic regression, which both run one
+damped-Newton solver (``_newton``: exact gradient and information, steps
+halved until the log-likelihood does not fall), and ordinary least squares
+(QR). Standard errors come from the observed information at the optimum. Nested
 models compare through an F test (OLS) or a likelihood-ratio test, with tail
 probabilities from the in-package incomplete beta/gamma routines.
 
@@ -13,7 +14,7 @@ All fits are deterministic: no randomness enters the estimators themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -127,10 +128,7 @@ class FitResult:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FitResult":
-        known = {
-            "feature_names", "coefficients", "std_errors", "loglik", "n_obs",
-            "converged", "iterations", "kind", "rss", "r_squared", "f_statistic", "df",
-        }
+        known = {f.name for f in fields(cls)} - {"n_params", "extra"}
         coeffs = np.asarray(obj["coefficients"], dtype=np.float64)
         loglik = obj.get("loglik")
         return cls(
@@ -248,23 +246,23 @@ def mnl_loglik(beta, instances) -> float:
     return float(np.sum(u[packed.chosen_rows] - m - np.log(z)))
 
 
+def _mnl_terms(packed: _Packed, beta) -> tuple[np.ndarray, np.ndarray]:
+    """Score and information (-H) at ``beta`` from one probability pass."""
+    p, _ = packed.probabilities(np.asarray(beta, dtype=np.float64))
+    gradient = packed.X[packed.chosen_rows].sum(axis=0) - packed.X.T @ p
+    weighted = packed.X * p[:, None]
+    xbar = np.add.reduceat(weighted, packed.starts, axis=0)
+    return gradient, packed.X.T @ weighted - xbar.T @ xbar
+
+
 def mnl_gradient(beta, instances) -> np.ndarray:
     """Score vector: sum of (chosen features - probability-weighted mean)."""
-    packed = _as_packed(instances)
-    beta = np.asarray(beta, dtype=np.float64)
-    p, _ = packed.probabilities(beta)
-    return packed.X[packed.chosen_rows].sum(axis=0) - packed.X.T @ p
+    return _mnl_terms(_as_packed(instances), beta)[0]
 
 
 def mnl_hessian(beta, instances) -> np.ndarray:
     """Observed Hessian of the log-likelihood (negative semidefinite)."""
-    packed = _as_packed(instances)
-    beta = np.asarray(beta, dtype=np.float64)
-    p, _ = packed.probabilities(beta)
-    weighted = packed.X * p[:, None]
-    second = packed.X.T @ weighted
-    xbar = np.add.reduceat(weighted, packed.starts, axis=0)
-    return -(second - xbar.T @ xbar)
+    return -_mnl_terms(_as_packed(instances), beta)[1]
 
 
 def mnl_probabilities(beta, instances) -> ProbabilityTable:
@@ -302,6 +300,42 @@ def _check_estimable(packed: _Packed) -> None:
         )
 
 
+def _newton(loglik, terms, p_dim, tol, max_iter):
+    """Maximise a concave log-likelihood by damped Newton steps from zero.
+
+    ``terms(beta)`` returns the gradient and the information (-H) at
+    ``beta``. Each step is halved until the log-likelihood does not fall by
+    more than summation roundoff; when no step down to 1e-12 keeps it, the
+    search stops unconverged. Converged means max |gradient| < ``tol``.
+    Returns (beta, loglik, converged, iterations, information at beta).
+    """
+    beta = np.zeros(p_dim)
+    ll = loglik(beta)
+    for iterations in range(max_iter + 1):
+        g, information = terms(beta)
+        converged = bool(np.abs(g).max() < tol)
+        if converged or iterations == max_iter:
+            break
+        try:
+            delta = np.linalg.solve(information, g)
+        except np.linalg.LinAlgError:
+            raise SingularHessianError(
+                "Newton step failed", condition_number=float(np.linalg.cond(information))
+            ) from None
+        step = 1.0
+        slack = 1e-10 * (1.0 + abs(ll))  # summation roundoff, not a real decrease
+        while step >= 1e-12:
+            candidate = beta + step * delta
+            ll_new = loglik(candidate)
+            if ll_new >= ll - slack:
+                beta, ll = candidate, max(ll_new, ll)
+                break
+            step *= 0.5
+        else:
+            return beta, ll, False, iterations + 1, information
+    return beta, ll, converged, iterations, information
+
+
 def mnl_fit(instances, tol: float = 1e-8, max_iter: int = 100) -> FitResult:
     """Fit the conditional multinomial logit by Newton's method.
 
@@ -313,43 +347,13 @@ def mnl_fit(instances, tol: float = 1e-8, max_iter: int = 100) -> FitResult:
     packed = _as_packed(instances)
     _check_estimable(packed)
     p_dim = packed.X.shape[1]
-    beta = np.zeros(p_dim)
-    ll = mnl_loglik(beta, packed)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        g = mnl_gradient(beta, packed)
-        if np.abs(g).max() < tol:
-            converged = True
-            iterations -= 1
-            break
-        H = mnl_hessian(beta, packed)
-        try:
-            delta = np.linalg.solve(-H, g)
-        except np.linalg.LinAlgError:
-            raise SingularHessianError("Newton step failed", condition_number=float(np.linalg.cond(-H))) from None
-        step = 1.0
-        improved = False
-        slack = 1e-10 * (1.0 + abs(ll))  # summation roundoff, not a real decrease
-        while step >= 1e-12:
-            candidate = beta + step * delta
-            ll_new = mnl_loglik(candidate, packed)
-            if ll_new >= ll - slack:
-                beta, ll = candidate, max(ll_new, ll)
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    else:
-        g = mnl_gradient(beta, packed)
-        converged = bool(np.abs(g).max() < tol)
-    H = mnl_hessian(beta, packed)
-    std_errors = _information_std_errors(-H)
+    beta, ll, converged, iterations, information = _newton(
+        lambda b: mnl_loglik(b, packed), lambda b: _mnl_terms(packed, b), p_dim, tol, max_iter
+    )
     return FitResult(
         feature_names=packed.feature_names,
         coefficients=beta,
-        std_errors=std_errors,
+        std_errors=_information_std_errors(information),
         loglik=ll,
         n_obs=packed.n_instances,
         n_params=p_dim,
@@ -397,12 +401,8 @@ def _bernoulli_loglik(eta, y):
     return float(y @ eta - np.logaddexp(0.0, eta).sum())
 
 
-def logistic_fit(X, y, tol: float = 1e-8, max_iter: int = 100, feature_names=None) -> FitResult:
-    """Binary logistic regression by iteratively reweighted least squares.
-
-    Raises :class:`SeparationError` when coefficients diverge past 30 on the
-    standardized design, the signature of perfectly separated outcomes.
-    """
+def _design(X, y, feature_names):
+    """``X`` and ``y`` as float arrays of matching shape, with the column names."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
@@ -410,58 +410,40 @@ def logistic_fit(X, y, tol: float = 1e-8, max_iter: int = 100, feature_names=Non
     n, p_dim = X.shape
     if y.shape != (n,):
         raise ValueError("outcome length does not match design")
-    if not ((y == 0) | (y == 1)).all():
-        raise ValueError("outcomes must be 0/1")
     names = tuple(feature_names) if feature_names is not None else tuple(f"x{j}" for j in range(p_dim))
     if len(names) != p_dim:
         raise ValueError("feature_names length does not match design")
-    scale = X.std(axis=0)
-    beta = np.zeros(p_dim)
-    ll = _bernoulli_loglik(X @ beta, y)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        eta = X @ beta
-        mu = 1.0 / (1.0 + np.exp(-eta))
-        g = X.T @ (y - mu)
-        if np.abs(g).max() < tol:
-            converged = True
-            iterations -= 1
-            break
-        w = np.clip(mu * (1.0 - mu), 1e-10, None)
-        H = (X * w[:, None]).T @ X
-        try:
-            delta = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            raise SingularHessianError("IRLS step failed", condition_number=float(np.linalg.cond(H))) from None
-        step = 1.0
-        improved = False
-        slack = 1e-10 * (1.0 + abs(ll))  # summation roundoff, not a real decrease
-        while step >= 1e-12:
-            candidate = beta + step * delta
-            ll_new = _bernoulli_loglik(X @ candidate, y)
-            if ll_new >= ll - slack:
-                beta, ll = candidate, max(ll_new, ll)
-                improved = True
-                break
-            step *= 0.5
-        if np.max(np.abs(beta) * np.where(scale > 0, scale, 0.0)) > 30.0:
+    return X, y, names
+
+
+def logistic_fit(X, y, tol: float = 1e-8, max_iter: int = 100, feature_names=None) -> FitResult:
+    """Binary logistic regression by damped Newton steps (``_newton``).
+
+    Raises :class:`SeparationError` when coefficients diverge past 30 on the
+    standardized design, the signature of perfectly separated outcomes.
+    """
+    X, y, names = _design(X, y, feature_names)
+    if not ((y == 0) | (y == 1)).all():
+        raise ValueError("outcomes must be 0/1")
+    n, p_dim = X.shape
+    std = X.std(axis=0)
+    scale = np.where(std > 0, std, 0.0)
+
+    def terms(beta):
+        # Runs at every point the solver reaches, before its gradient test.
+        if np.max(np.abs(beta) * scale) > 30.0:
             raise SeparationError("coefficients diverged; outcomes look perfectly separated")
-        if not improved:
-            break
-    else:
-        eta = X @ beta
-        mu = 1.0 / (1.0 + np.exp(-eta))
-        g = X.T @ (y - mu)
-        converged = bool(np.abs(g).max() < tol)
-    mu = 1.0 / (1.0 + np.exp(-(X @ beta)))
-    w = np.clip(mu * (1.0 - mu), 1e-10, None)
-    information = (X * w[:, None]).T @ X
-    std_errors = _information_std_errors(information)
+        mu = 1.0 / (1.0 + np.exp(-(X @ beta)))
+        w = np.clip(mu * (1.0 - mu), 1e-10, None)
+        return X.T @ (y - mu), (X * w[:, None]).T @ X
+
+    beta, ll, converged, iterations, information = _newton(
+        lambda b: _bernoulli_loglik(X @ b, y), terms, p_dim, tol, max_iter
+    )
     return FitResult(
         feature_names=names,
         coefficients=beta,
-        std_errors=std_errors,
+        std_errors=_information_std_errors(information),
         loglik=ll,
         n_obs=n,
         n_params=p_dim,
@@ -481,18 +463,10 @@ def ols_fit(X, y, feature_names=None) -> FitResult:
     design contains a constant column, the Gaussian log-likelihood at the
     MLE variance, and (df_model, df_resid).
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("design matrix must be 2-D")
+    X, y, names = _design(X, y, feature_names)
     n, p_dim = X.shape
-    if y.shape != (n,):
-        raise ValueError("outcome length does not match design")
     if n <= p_dim:
         raise ValueError(f"need more observations ({n}) than parameters ({p_dim})")
-    names = tuple(feature_names) if feature_names is not None else tuple(f"x{j}" for j in range(p_dim))
-    if len(names) != p_dim:
-        raise ValueError("feature_names length does not match design")
     Q, R = np.linalg.qr(X)
     diag = np.abs(np.diag(R))
     threshold = max(n, p_dim) * np.finfo(np.float64).eps * (diag.max() if diag.size else 0.0)

@@ -512,7 +512,12 @@ class TemporalGraph:
         return node if self.vocab is None else self.vocab.authors.id(node)
 
     def to_edge_csv(self, path, header_comment: str | None = None) -> None:
-        """Write the full edge list as source,target,first_time,interaction_count."""
+        """Write the full edge list as source,target,first_time,interaction_count; an
+        appended code outside the vocabulary raises ValueError before the file is opened."""
+        if self.vocab is not None and len(self._times):
+            top = max(np.max(self._srcs), np.max(self._dsts))
+            if top >= len(self.vocab.authors):
+                raise ValueError(f"author code {top} is not in the vocabulary of {len(self.vocab.authors)} authors")
         rows = ((self._label(src), self._label(dst), t, count) for src, dst, t, count in self.edges())
         _write_csv(path, ("source", "target", "first_time", "interaction_count"), rows, header_comment)
 

@@ -11,6 +11,7 @@ from netchoice.estimators import (
     NonNestedError,
     RankDeficiencyError,
     SeparationError,
+    SingularHessianError,
     design_matrix,
     f_test_nested,
     logistic_fit,
@@ -173,6 +174,42 @@ class TestMnlFit:
         instances = random_instances(rng, n_instances=50, beta=np.array([2.0, -1.0, 0.5]))
         fit = mnl_fit(instances)
         assert fit.loglik >= mnl_loglik(np.zeros(3), instances)
+
+
+def mnl_exit_fit(duplicate=False, **kwargs):
+    instances = random_instances(np.random.default_rng(21), n_instances=60, beta=np.array([1.0, -0.5, 0.25]))
+    if duplicate:
+        instances = [inst(np.column_stack([i.X, i.X[:, 0]]), chosen=i.chosen) for i in instances]
+    return mnl_fit(instances, **kwargs)
+
+
+def logistic_exit_fit(duplicate=False, **kwargs):
+    rng = np.random.default_rng(22)
+    x = rng.normal(size=200)
+    y = (rng.uniform(size=200) < 1.0 / (1.0 + np.exp(x - 0.5))).astype(float)
+    X = np.column_stack([np.ones(200), x] + [x] * duplicate)
+    return logistic_fit(X, y, **kwargs)
+
+
+@pytest.mark.parametrize("fit", [mnl_exit_fit, logistic_exit_fit], ids=["mnl", "logistic"])
+class TestNewtonExits:
+    """Each way out of the shared Newton loop, for both likelihood fits."""
+
+    def test_gradient_within_tol_at_zero_takes_no_step(self, fit):
+        result = fit(tol=1e3)
+        assert result.converged and result.iterations == 0
+        assert not result.coefficients.any()
+
+    def test_iteration_cap_reports_unconverged(self, fit):
+        assert fit().iterations > 1
+        result = fit(max_iter=1)
+        assert not result.converged and result.iterations == 1
+        assert result.coefficients.any()
+
+    def test_duplicated_column_is_a_singular_hessian(self, fit):
+        with pytest.raises(SingularHessianError) as err:
+            fit(duplicate=True)
+        assert err.value.condition_number > 1e15
 
 
 class TestProbabilities:

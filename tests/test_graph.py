@@ -855,3 +855,11 @@ class TestAppendNodeCheck:
         g = build([("a", "b", 5)])
         assert g.append_edge(-1, "a", 6) and g.append_edge(None, -1, 7)
         assert g.n_edges == 3
+
+    def test_export_names_a_code_outside_the_vocabulary(self, tmp_path):
+        g = build(directed_log([(0, 1, 5), (1, 2, 6)]))
+        assert g.append_edge(0, 3, 9)  # the first code past the three authors
+        path = tmp_path / "edges.csv"
+        with pytest.raises(ValueError, match="author code 3 is not in the vocabulary of 3 authors"):
+            g.to_edge_csv(path)
+        assert not path.exists()

@@ -245,3 +245,51 @@ def test_first_edges_is_called_only_by_the_memo():
     assert paths
     found = [hit for path in paths for hit in first_edge_calls(path)]
     assert [hit.split(" in ")[1] for hit in found] == ["_reduced"], f"calls of _first_edges: {', '.join(found)}"
+
+
+def linalg_solve_calls(path):
+    """``file:function`` of every ``np.linalg.solve`` call, naming the innermost
+    function around it (``<module>`` at top level)."""
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "solve"
+                and isinstance(child.func.value, ast.Attribute)
+                and child.func.value.attr == "linalg"
+            ):
+                yield f"{path.name}:{function}"
+            yield from visit(child, function)
+
+    yield from visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+
+
+# The damped-Newton solver behind every likelihood fit, the triangular solve
+# of least squares, and BBSE's one linear system (guarded by its condition).
+LINALG_SOLVE_EXEMPT = {"estimators.py:_newton", "estimators.py:ols_fit", "labelshift.py:bbse_weights"}
+
+
+def test_scanner_flags_linalg_solve_calls(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "def fit(h, g):\n    return np.linalg.solve(h, g)\n"
+        "def outer():\n    def step():\n        return numpy.linalg.solve(\n            a, b,\n        )\n"
+        "    return la.solve(a, b)\n"
+        "x = np.linalg.solve(a, b)\ny = np.linalg.lstsq(a, b)\nz = np.linalg.solve\n"
+    )
+    assert list(linalg_solve_calls(path)) == ["mod.py:fit", "mod.py:step", "mod.py:<module>"]
+
+
+def test_linalg_solve_only_in_the_newton_solver():
+    # mnl_fit and logistic_fit share estimators._newton; a Newton step solved
+    # anywhere else would be a second solver that can drift from it.
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    found = {hit for path in paths for hit in linalg_solve_calls(path)}
+    assert "estimators.py:_newton" in found
+    assert found <= LINALG_SOLVE_EXEMPT, f"np.linalg.solve in {sorted(found - LINALG_SOLVE_EXEMPT)}"
