@@ -68,6 +68,7 @@ from .events import (
 from .graph import TemporalGraph, build, largest_wcc_share_series
 from .initiations import (
     Initiation,
+    Initiations,
     InitiationType,
     classify_initiation,
     classify_initiations,

@@ -18,13 +18,14 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, compress, islice
+from itertools import chain, islice
 
 import numpy as np
 
 from .authors import _ROLES, AuthorDirectory, ROLE_MIXED, ROLE_PATIENT
 from .events import SchemaError, _json_lines, _sorted_unique
 from .graph import TemporalGraph
+from .initiations import _as_table
 
 FEATURE_NAMES = (
     "censored_log_target_outdegree",
@@ -336,13 +337,13 @@ def build_choice_sets(
     """
     names = feature_names(include_state)
     skipped: list[SkippedChoice] = []
+    table = _as_table(initiations)
     if directory is not None:
         for author, first in directory.first_update_times().items():
             graph.register_node(author, first)
 
     def records():
-        for index, ini in enumerate(initiations):
-            chooser, receiver, t = ini.initiator, ini.receiver, ini.time
+        for index, (chooser, receiver, t) in enumerate(zip(*table.endpoints(), table.time.tolist())):
             graph.advance_to(t)
             # Every target of the chooser is activated before t, so the excluded
             # nodes all lie in the prefix and the pool size is exact.
@@ -375,16 +376,17 @@ def initiation_features(
 ) -> tuple[list, np.ndarray]:
     """Each initiation's receiver as an alternative of its initiator at the initiation's time.
 
-    Returns the initiations whose receiver has activity at some time, and
-    their feature rows. The initiations must be in time order; the graph
-    cursor advances through them.
+    Returns the table of the initiations whose receiver has activity at some
+    time, and their feature rows. The initiations must be in time order; the
+    graph cursor advances through them.
     """
-    kept = list(compress(initiations, _known([ini.receiver for ini in initiations], graph, directory)))
+    table = _as_table(initiations)
+    kept = table._select(_known(table.endpoints()[1], graph, directory))
 
     def records():
-        for ini in kept:
-            graph.advance_to(ini.time)
-            yield _record(graph, ini.initiator, ini.time, [ini.receiver])
+        for chooser, receiver, t in zip(*kept.endpoints(), kept.time.tolist()):
+            graph.advance_to(t)
+            yield _record(graph, chooser, t, [receiver])
 
     rows = [X for _, X in _blocks(records(), graph, directory, include_state)]
     return kept, np.concatenate(rows) if rows else np.zeros((0, len(feature_names(include_state))))

@@ -387,8 +387,8 @@ def _cmd_features(cfg: RunConfig, args) -> int:
     kept, X = choices_mod.initiation_features(inits, g, directory, cfg.include_state)
     label = interactions.vocab.authors.id
     rows = (
-        [label(ini.initiator), label(ini.receiver), ini.time, *(f"{v:.10g}" for v in x)]
-        for ini, x in zip(kept, X.tolist())
+        [label(a), label(b), t, *(f"{v:.10g}" for v in x)]
+        for a, b, t, x in zip(*kept.endpoints(), kept.time.tolist(), X.tolist())
     )
     columns = ("initiator", "receiver", "time", *names)
     _write_csv(_out(cfg, "features.csv"), columns, rows, f"config_hash={cfg.config_hash()}")
@@ -582,10 +582,7 @@ def _cmd_report(cfg: RunConfig, args) -> int:
     if args.authors_csv:
         _, table = _csv_columns(args.authors_csv, ("author_id",), optional=("state",))
         states = {author: state for author, state in zip(table["author_id"], table["state"]) if state}
-        both = [
-            (states.get(str(i.initiator)), states.get(str(i.receiver)))
-            for i in inits
-        ]
+        both = [(states.get(str(a)), states.get(str(b))) for a, b in zip(*inits.endpoints())]
         assigned = [(a, b) for a, b in both if a and b]
         if assigned:
             same = sum(a == b for a, b in assigned)

@@ -187,12 +187,12 @@ def _dedupe_mask(cols: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
 
 
 class _ColumnLog(Sequence):
-    """Int-code columns over a shared :class:`LogVocab`, one record per row: a
-    subclass names its columns in ``__slots__`` after ``vocab`` and builds row
-    ``i``'s record in ``_row``. A log is a value: each column is a read-only
-    view of the array passed in, and no attribute can be rebound. ``_memo``
-    is no column: ``graph`` keeps a directed log's first-edge reduction there,
-    and copies and pickles start without it."""
+    """Int-code columns over a shared label table, one record per row: a subclass
+    names the table (a :class:`LogVocab` for the logs) and then its columns in
+    ``__slots__``, and builds row ``i``'s record in ``_row``. A log is a value:
+    each column is a read-only view of the array passed in, and no attribute can
+    be rebound. ``_memo`` is no column: ``graph`` keeps a directed log's
+    first-edge reduction there, and copies and pickles start without it."""
 
     __slots__ = ("_memo",)
 
@@ -200,7 +200,7 @@ class _ColumnLog(Sequence):
         names = self.__slots__[1:]
         if len(columns) != len(names):
             raise TypeError(f"{type(self).__name__} takes {len(names)} columns ({', '.join(names)}), got {len(columns)}")
-        object.__setattr__(self, "vocab", vocab)
+        object.__setattr__(self, self.__slots__[0], vocab)
         for name, column in zip(names, columns):
             view = np.asarray(column).view()
             view.flags.writeable = False
@@ -213,7 +213,7 @@ class _ColumnLog(Sequence):
         raise AttributeError(f"{type(self).__name__} is read-only: cannot delete '{name}'")
 
     def __reduce__(self):
-        return type(self), (self.vocab, *self.columns)
+        return type(self), (getattr(self, self.__slots__[0]), *self.columns)
 
     @property
     def columns(self) -> tuple[np.ndarray, ...]:
@@ -222,7 +222,7 @@ class _ColumnLog(Sequence):
 
     def _select(self, mask):
         """The log of the rows ``mask`` picks."""
-        return type(self)(self.vocab, *(c[mask] for c in self.columns))
+        return type(self)(getattr(self, self.__slots__[0]), *(c[mask] for c in self.columns))
 
     def __len__(self) -> int:
         return len(getattr(self, self.__slots__[1]))

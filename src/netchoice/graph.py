@@ -106,24 +106,19 @@ class UnionFind:
         return a == b or self.find(a) == self.find(b)
 
 
-# Replay codes: 0-3 index InitiationType's members (joining component,
-# bridging, joining isolates, intra component) and 4 is a joining component
-# from a connected source. Across two components the code is picked by
-# (source connected, target connected).
-_OPEN_TYPE = ((2, 0), (4, 1))
 _EMPTY = np.zeros(0, dtype=np.int64)  # an edge-free graph's columns
 _EMPTY.flags.writeable = False
 
 
-def _replay(parent: list, size: list, srcs, dsts, largest: int, codes=None, running=None) -> int:
+def _replay(parent: list, size: list, srcs, dsts, largest: int, merges=None) -> int:
     """Union ``srcs[i]`` with ``dsts[i]`` in order; the largest component size after the last.
 
     The one union-find replay (Tarjan, JACM 1975): ``parent`` and ``size``
     are lists indexed by int code, grown to cover every code fed and updated
     in place with union by size and path compression. ``largest`` is the
-    largest size before the first edge. When ``codes`` and ``running`` are
-    lists, each edge appends its replay code and the largest size, both read
-    before its own union.
+    largest size before the first edge. When ``merges`` is given (a list or
+    an ``array('q')``), each edge appends the size of the component its union
+    made, or 0 when its ends already shared one.
     """
     n_codes = max(max(srcs, default=-1), max(dsts, default=-1)) + 1
     size.extend([1] * (n_codes - len(parent)))
@@ -139,18 +134,19 @@ def _replay(parent: list, size: list, srcs, dsts, largest: int, codes=None, runn
             rb = parent[rb]
         while parent[b] != rb:
             parent[b], b = rb, parent[b]
-        sa, sb = size[ra], size[rb]
-        if codes is not None:
-            codes.append(3 if ra == rb else _OPEN_TYPE[sa > 1][sb > 1])
-            running.append(largest)
         if ra == rb:
+            if merges is not None:
+                merges.append(0)
             continue
+        sa, sb = size[ra], size[rb]
         if sa < sb:
             ra, rb = rb, ra
         parent[rb] = ra
         merged = size[ra] = sa + sb
         if merged > largest:
             largest = merged
+        if merges is not None:
+            merges.append(merged)
     return largest
 
 
@@ -377,8 +373,11 @@ class TemporalGraph:
         """Move the cursor to ``t``, joining the components of every edge strictly before it."""
         if t < self._cursor:
             raise MonotonicityError(f"cursor at {self._cursor} cannot move back to {t}")
-        ptr = self._ptr
-        end = bisect_left(self._times, t, ptr)
+        ptr, times = self._ptr, self._times
+        if isinstance(times, np.ndarray) and isinstance(t, (int, np.signedinteger)) and -(2**63) <= t < 2**63:
+            end = ptr + int(times[ptr:].searchsorted(t))  # a float, a wider int or array('q') takes bisect_left
+        else:
+            end = bisect_left(times, t, ptr)
         if end > ptr:
             srcs, dsts = self._srcs[ptr:end].tolist(), self._dsts[ptr:end].tolist()
             self._largest = _replay(self._parent, self._size, srcs, dsts, self._largest)
@@ -438,14 +437,16 @@ class TemporalGraph:
 
     # -- queries (state strictly before the cursor) -------------------------
 
+    def _edge_columns(self) -> tuple:
+        """The time, source and target code columns as numpy arrays: the shared read-only ones, or copies
+        of the ``array('q')`` columns an append grows (a live view would make the next append fail)."""
+        grown = self._pair_index is not None
+        return tuple(np.array(column) if grown else column for column in (self._times, self._srcs, self._dsts))
+
     def _row_index(self) -> _RowIndex:
-        """The index of every edge, built on first use. Once an edge has been
-        appended, it is built with room for more, from copies of the
-        ``array('q')`` columns (a live view would make the next append fail)."""
+        """The index of every edge, built on first use; once an edge has been appended, with room for more."""
         if self._index is None:
-            grown = self._pair_index is not None
-            columns = (np.array(column) if grown else column for column in (self._times, self._srcs, self._dsts))
-            self._index = _RowIndex(*columns, room=grown)
+            self._index = _RowIndex(*self._edge_columns(), room=self._pair_index is not None)
         return self._index
 
     def _row(self, node) -> tuple[list, list, list, list]:
@@ -544,8 +545,9 @@ def build(interactions, extra_nodes=None) -> TemporalGraph:
             (rec.source_author, rec.target_author, rec.timestamp) if isinstance(rec, DirectedInteraction) else rec
             for rec in interactions
         ]
-        columns = _intern_records(graph, *(list(map(itemgetter(i), rows)) for i in range(3)))
-        reduced = _reduced(columns, graph._labels)
+        srcs, dsts, times = (list(map(itemgetter(i), rows)) for i in range(3))
+        times = _time_column(times)
+        reduced = _reduced((*_intern_records(graph, srcs, dsts), times), graph._labels)
     graph._times, graph._srcs, graph._dsts, graph._counts, nodes, first_times = reduced
     graph._activation = dict(zip(graph._keys(nodes.tolist()), first_times.tolist()))
     if extra_nodes:
@@ -554,22 +556,20 @@ def build(interactions, extra_nodes=None) -> TemporalGraph:
     return graph
 
 
-def _intern_records(graph: TemporalGraph, srcs: list, dsts: list, times: list):
-    """Source codes, target codes and times of record columns, labels interned in sorted order."""
-    time_column = _time_column(times)
+def _intern_records(graph: TemporalGraph, srcs: list, dsts: list):
+    """Source and target codes of record labels, interned on ``graph`` in sorted order."""
     graph._labels = sorted(set(srcs).union(dsts))
     code_of = graph._code_of = {label: code for code, label in enumerate(graph._labels)}
     return (
         np.fromiter(map(code_of.__getitem__, srcs), dtype=np.int64, count=len(srcs)),
         np.fromiter(map(code_of.__getitem__, dsts), dtype=np.int64, count=len(dsts)),
-        time_column,
     )
 
 
 def _time_column(times: list):
     """Record times as int64; floats would be truncated, and ints beyond int64 wrap or become objects."""
-    column = np.array(times)
-    if times and column.dtype != np.int64:
+    column = np.array(times) if times else _EMPTY
+    if column.dtype != np.int64:
         raise ValueError(f"record times must be int64 integers, got {column.dtype}")
     return column
 
@@ -723,11 +723,11 @@ def largest_wcc_share_series(graph: TemporalGraph):
         return
     starts = np.flatnonzero(np.concatenate(([True], times[1:] != times[:-1])))
     group_times = times[starts]
-    running = []
-    largest = _replay(graph._parent, graph._size, graph._srcs.tolist(), graph._dsts.tolist(), graph._largest, [], running)
+    merges = array("q")
+    largest = _replay(graph._parent, graph._size, graph._srcs.tolist(), graph._dsts.tolist(), graph._largest, merges)
     graph._largest, graph._ptr, graph._cursor = largest, len(times), int(group_times[-1]) + 1
-    # A group's largest size is the one read before the next group's first edge.
-    sizes = np.append(np.array(running)[starts[1:]], largest)
+    # A group's largest size is the running maximum of the merges at its last edge (none before: 0).
+    sizes = np.maximum.accumulate(np.frombuffer(merges, dtype=np.int64))[np.append(starts[1:], len(times)) - 1]
     # Activated at or before t, i.e. strictly before the cursor t + 1 (which could wrap in int64).
     activated = np.searchsorted(np.asarray(graph._activation_times()), group_times, side="right")
     sizes = np.where(activated > 0, np.maximum(sizes, 1), 0)

@@ -14,21 +14,22 @@ isolates. Equal-timestamp edges are processed in (source, target) order, so
 classification within a tie is deterministic. Extraction is the graph's own
 first-edge reduction: ``extract_initiations`` reads the edges of ``build``,
 and a log keeps that reduction, so extracting from a log that a graph was
-built from (or building one after) reduces it only once.
+built from (or building one after) reduces it only once. Initiations stay
+columns (:class:`Initiations`); a row is built only when a caller reads one.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, fields
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, eq
 
 import numpy as np
 
-from .events import SchemaError, _csv_columns, _parse_int, _write_csv
-from .graph import InvalidEdgeError, TemporalGraph, _intern_records, _replay, _time_column, build
+from .events import DirectedInteractionLog, SchemaError, _ColumnLog, _csv_columns, _parse_int, _write_csv
+from .graph import InvalidEdgeError, TemporalGraph, _code_span, _intern_records, _reduced, _replay, _time_column, build
 
 
 class InitiationType(str, Enum):
@@ -57,30 +58,76 @@ class Initiation:
     initiator_was_isolate: bool = False
 
 
-def _initiations(initiators: list, *columns) -> list[Initiation]:
-    """``Initiation`` rows from one column per field, in field order.
+class Initiations(_ColumnLog):
+    """A read-only sequence of :class:`Initiation` rows, held as columns.
 
-    Each slot is set through its member descriptor on ``object.__new__``
-    instances, one ``map`` per field; the rows are those of the keyword
-    constructor, at a fraction of its cost.
+    ``src`` and ``dst`` are int64 codes of the initiator and receiver,
+    ``time`` is int64, ``type_code`` indexes ``InitiationType`` (its length
+    when unclassified), and the two flags are bool. ``labels`` is None when
+    the codes are the labels themselves (a log's author codes), else the list
+    of the label of each code. A row is built only when it is read; a slice
+    is a table, and a table equals any sequence of equal rows.
     """
-    out = list(map(object.__new__, repeat(Initiation, len(initiators))))
-    for field, column in zip(fields(Initiation), (initiators, *columns)):
-        deque(map(getattr(Initiation, field.name).__set__, out, column), maxlen=0)
-    return out
+
+    __slots__ = ("labels", "src", "dst", "time", "type_code", "is_reciprocal", "initiator_was_isolate")
+
+    def __getitem__(self, i):
+        return self._select(i) if isinstance(i, slice) else super().__getitem__(i)
+
+    def __iter__(self):
+        """Each row, built as it is read: the one place rows are made."""
+        return map(Initiation, *self.endpoints(), self.time.tolist(), map(_TYPES.__getitem__, self.type_code.tolist()),
+                   self.is_reciprocal.tolist(), self.initiator_was_isolate.tolist())
+
+    def _row(self, i) -> Initiation:
+        return next(iter(self._select(slice(i, i + 1))))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"Initiations({list(self)!r})"
+
+    def endpoints(self) -> tuple[list, list]:
+        """The initiators and the receivers, as labels."""
+        src, dst, labels = self.src.tolist(), self.dst.tolist(), self.labels
+        return (src, dst) if labels is None else (list(map(labels.__getitem__, src)), list(map(labels.__getitem__, dst)))
 
 
-def extract_initiations(interactions) -> list[Initiation]:
+def _row_table(initiators: list, receivers: list, *columns) -> Initiations:
+    """A table whose labels are the objects given, one per row and end."""
+    codes = np.arange(2 * len(initiators))
+    return Initiations(initiators + receivers, codes[: len(initiators)], codes[len(initiators) :], *columns)
+
+
+def _as_table(initiations) -> Initiations:
+    """A table itself, or the table of any iterable of ``Initiation`` rows (whose times must be int64)."""
+    if isinstance(initiations, Initiations):
+        return initiations
+    rows = list(initiations)
+    initiators, receivers, times, itypes, *flags = (list(map(attrgetter(name), rows)) for name in _CSV_COLUMNS)
+    type_codes = np.fromiter(map(_TYPE_CODES.__getitem__, itypes), dtype=np.int8, count=len(itypes))
+    return _row_table(initiators, receivers, _time_column(times), type_codes, *(np.array(f, dtype=bool) for f in flags))
+
+
+def extract_initiations(interactions) -> Initiations:
     """Reduce an interaction stream to its unique-edge stream, in time order.
 
     Accepts a DirectedInteractionLog, an iterable of DirectedInteraction or
-    (source, target, time) tuples, or an already-built TemporalGraph; any
-    input but a graph goes through ``build``. Ties at equal timestamps are
-    ordered by (source, target). Types are left unset.
+    (source, target, time) tuples, or an already-built TemporalGraph; records
+    go through ``build``, and a log is read from its first-edge reduction.
+    Ties at equal timestamps are ordered by (source, target). Types are left
+    unset. The table's columns are the graph's own.
     """
-    graph = interactions if isinstance(interactions, TemporalGraph) else build(interactions)
-    unset = repeat(None), repeat(False), repeat(False)
-    return _initiations(*graph._endpoints(0, graph.n_edges), graph._times.tolist(), *unset)
+    if isinstance(interactions, DirectedInteractionLog):
+        labels, (times, srcs, dsts) = None, _reduced(interactions)[:3]
+    else:
+        graph = interactions if isinstance(interactions, TemporalGraph) else build(interactions)
+        labels, (times, srcs, dsts) = graph._labels, graph._edge_columns()
+    unset = np.full(len(times), len(InitiationType), dtype=np.int8)
+    return Initiations(labels, srcs, dsts, times, unset, *np.zeros((2, len(times)), dtype=bool))
 
 
 def classify_initiation(state, initiator, receiver) -> tuple[InitiationType, bool]:
@@ -101,30 +148,39 @@ def classify_initiation(state, initiator, receiver) -> tuple[InitiationType, boo
     return itype, not connected_i
 
 
-def classify_initiations(initiations: list[Initiation]) -> list[Initiation]:
+def classify_initiations(initiations) -> Initiations:
     """Replay the unique-edge stream, filling type and reciprocity flags.
 
     Rows are processed in (time, initiator, receiver) order. The reciprocity
     flag requires the reverse edge strictly earlier in time; an
     equal-timestamp reverse edge does not count, although it does already
     join the pair's components for classification purposes. A row reads only
-    the latest earlier-processed row of its reverse pair.
+    the latest earlier-processed row of its reverse pair. A table of codes
+    already in that order (what ``extract_initiations`` makes of a log or of
+    its graph) is replayed as it is; any other input is interned and sorted
+    first, and its rows keep their own label objects.
     """
-    rows = list(initiations)
-    initiators, receivers, times = (list(map(attrgetter(name), rows)) for name in ("initiator", "receiver", "time"))
-    labels = np.array(initiators + receivers) if rows and isinstance(initiators[0], (int, np.integer)) else None
-    if labels is not None and labels.dtype == np.int64:  # int labels are coded by one sort
-        keys, coded = np.unique(labels, return_inverse=True)
-        n, src, dst, times = len(keys), coded[: len(rows)], coded[len(rows) :], _time_column(times)
+    table = _as_table(initiations)
+    src, dst, times = table.src, table.dst, table.time
+    (t, u), (s, v), (d, w) = ((column[1:], column[:-1]) for column in (times, src, dst))
+    if table.labels is None and np.all((t > u) | (t == u) & ((s > v) | (s == v) & (d >= w))):  # in processing order
+        n = _code_span(src, dst)
     else:
-        table = TemporalGraph()  # the graph holds the sorted label table
-        src, dst, times = _intern_records(table, initiators, receivers, times)
-        n = len(table._labels)
-    order = np.lexsort((src * n + dst, times))  # n * n fits in int64 for any label count that fits in memory
-    src, dst, times = src[order], dst[order], times[order]
+        initiators, receivers = table.endpoints()
+        labels = np.array(initiators + receivers) if initiators and isinstance(initiators[0], (int, np.integer)) else None
+        if labels is not None and labels.dtype == np.int64:  # int labels are coded by one sort
+            keys, coded = np.unique(labels, return_inverse=True)
+            n, src, dst = len(keys), coded[: len(table)], coded[len(table) :]
+        else:
+            interned = TemporalGraph()  # the graph holds the sorted label table
+            src, dst = _intern_records(interned, initiators, receivers)
+            n = len(interned._labels)
+        order = np.lexsort((src * n + dst, times))  # n * n fits in int64 for any label count that fits in memory
+        table, src, dst = table._select(order), src[order], dst[order]
+        times = table.time
     loops = np.flatnonzero(src == dst)
     if len(loops):
-        raise InvalidEdgeError(f"initiation from {initiators[order[loops[0]]]!r} to itself")
+        raise InvalidEdgeError(f"initiation from {table[int(loops[0])].initiator!r} to itself")
     # A stable sort by unordered pair keeps each pair's rows in processing
     # order. Carrying each direction's last index forward gives every row the
     # latest earlier row of its reverse pair, unless that index lies before
@@ -138,20 +194,24 @@ def classify_initiations(initiations: list[Initiation]) -> list[Initiation]:
     previous = np.where(forward, *last)
     reciprocal = np.empty(len(src), dtype=bool)
     reciprocal[by_pair] = (previous >= group_start) & (pair_times[previous] < pair_times)
-    codes = []
-    _replay([], [], src.tolist(), dst.tolist(), 0, codes, [])
-    order = order.tolist()
-    return _initiations(
-        list(map(initiators.__getitem__, order)),
-        map(receivers.__getitem__, order),
-        times.tolist(),
-        map(_CODE_TYPES.__getitem__, codes),
-        reciprocal.tolist(),
-        map(_CODE_ISOLATED.__getitem__, codes),
-    )
+    # An end that no earlier row has is an isolate. Its row joins it to the other
+    # end and closes no cycle, so those links are set at once; the replay unions
+    # only rows between connected ends, and a merge of 0 marks intra-component.
+    ends = np.column_stack((src, dst)).ravel()
+    first = np.full(n, len(ends))
+    np.minimum.at(first, ends, np.arange(len(ends)))
+    new_src, new_dst = first[src] == 2 * pos, first[dst] == 2 * pos + 1
+    parent = np.arange(n)
+    parent[src[new_src & ~new_dst]], parent[dst[new_dst]] = dst[new_src & ~new_dst], src[new_dst]
+    connected = np.flatnonzero(~(new_src | new_dst))
+    merges = array("q")
+    _replay(parent.tolist(), [1] * n, src[connected].tolist(), dst[connected].tolist(), 0, merges)
+    type_code = _OPEN_TYPES[2 * new_src + new_dst]
+    type_code[connected[np.frombuffer(merges, dtype=np.int64) == 0]] = _TYPE_CODES[InitiationType.INTRA_COMPONENT]
+    return Initiations(table.labels, table.src, table.dst, times, type_code, reciprocal, new_src)
 
 
-def initiations_from_interactions(interactions) -> list[Initiation]:
+def initiations_from_interactions(interactions) -> Initiations:
     """Extract and classify in one pass."""
     return classify_initiations(extract_initiations(interactions))
 
@@ -222,7 +282,7 @@ def _window_stats(start, type_counts: list, reciprocal: int, jc_isolate: int) ->
     )
 
 
-def timeline_stats(initiations: list[Initiation], window_seconds: int, start: int | None = None) -> TimelineStats:
+def timeline_stats(initiations, window_seconds: int, start: int | None = None) -> TimelineStats:
     """Bin classified initiations into fixed windows and tally type shares.
 
     Windows with no initiations are simply absent (their shares are
@@ -231,25 +291,22 @@ def timeline_stats(initiations: list[Initiation], window_seconds: int, start: in
     """
     if window_seconds <= 0:
         raise ValueError("window_seconds must be positive")
-    if not initiations:
+    table = _as_table(initiations)
+    if not table:
         raise ValueError("no initiations to summarize")
-    n_types = len(InitiationType)
-    codes = np.fromiter(map(_TYPE_CODES.__getitem__, map(attrgetter("itype"), initiations)), dtype=np.int64)
+    n_types, codes, times = len(InitiationType), table.type_code, table.time
     if (codes == n_types).any():
         raise ValueError("initiations must be classified first")
-    column = list(map(attrgetter("time"), initiations))
-    times = np.array(column)
-    t0 = start if start is not None else times.min().item() if times.dtype == np.int64 else min(column)
+    t0 = start if start is not None else times.min().item()
     early = np.flatnonzero(times < t0)
     if len(early):
-        raise ValueError(f"initiation at {column[early[0]]} precedes window start {t0}")
-    exact = times.dtype == np.int64 and type(t0) is int and type(window_seconds) is int
+        raise ValueError(f"initiation at {times[early[0]]} precedes window start {t0}")
+    exact = type(t0) is int and type(window_seconds) is int
     if not (exact and -(2**63) <= t0 and int(times.max()) - t0 < 2**63 and window_seconds < 2**63):
-        times = np.array(column, dtype=object)  # Python arithmetic, which cannot overflow
+        times = times.astype(object)  # Python arithmetic, which cannot overflow
     # Each initiation's window start, and per window its counts by type and by flag.
     windows, row_window = np.unique(t0 + window_seconds * ((times - t0) // window_seconds), return_inverse=True)
-    reciprocal, isolated = (np.fromiter(map(attrgetter(name), initiations), dtype=bool) for name in _CSV_COLUMNS[4:])
-    jc_isolate = isolated & (codes == 0)
+    reciprocal, jc_isolate = table.is_reciprocal, table.initiator_was_isolate & (codes == 0)
     type_counts = np.bincount(row_window * n_types + codes, minlength=len(windows) * n_types).reshape(-1, n_types)
     per_flag = (np.bincount(row_window[flag], minlength=len(windows)).tolist() for flag in (reciprocal, jc_isolate))
     rows = zip(windows.tolist(), type_counts.tolist(), *per_flag)
@@ -273,7 +330,7 @@ class ReciprocationCell:
         return self.reciprocated / self.count
 
 
-def reciprocation_rate_by_role(initiations: list[Initiation], roles) -> dict:
+def reciprocation_rate_by_role(initiations, roles) -> dict:
     """Empirical P(reciprocated | initiator role, receiver role) with counts.
 
     An initiation counts as reciprocated when the reverse ordered pair occurs
@@ -281,51 +338,52 @@ def reciprocation_rate_by_role(initiations: list[Initiation], roles) -> dict:
     observed are absent from the result. ``roles`` maps author -> role; an
     unknown author falls in the None role bucket.
     """
-    pairs = {(i.initiator, i.receiver) for i in initiations}
+    initiators, receivers = _as_table(initiations).endpoints()
+    pairs = set(zip(initiators, receivers))
     cells: dict = {}
-    for ini in initiations:
-        key = (roles.get(ini.initiator), roles.get(ini.receiver))
+    for key, reciprocated in zip(
+        zip(map(roles.get, initiators), map(roles.get, receivers)), map(pairs.__contains__, zip(receivers, initiators))
+    ):
         cell = cells.get(key)
         if cell is None:
             cell = cells[key] = ReciprocationCell(count=0, reciprocated=0)
         cell.count += 1
-        cell.reciprocated += (ini.receiver, ini.initiator) in pairs
+        cell.reciprocated += reciprocated
     return cells
 
 
-def write_initiations_csv(path, initiations: list[Initiation], label=None, header_comment: str | None = None) -> None:
+def write_initiations_csv(path, initiations, label=None, header_comment: str | None = None) -> None:
     """Write initiator,receiver,time,itype,is_reciprocal,initiator_was_isolate."""
-    label = label if label is not None else (lambda x: x)
-    rows = (
-        (
-            label(ini.initiator),
-            label(ini.receiver),
-            ini.time,
-            "" if ini.itype is None else ini.itype.value,
-            int(ini.is_reciprocal),
-            int(ini.initiator_was_isolate),
-        )
-        for ini in initiations
-    )
-    _write_csv(path, _CSV_COLUMNS, rows, header_comment)
+    table = _as_table(initiations)
+    initiators, receivers = table.endpoints()
+    if label is not None:
+        initiators, receivers = map(label, initiators), map(label, receivers)
+    type_values = map(_TYPE_VALUES.__getitem__, table.type_code.tolist())
+    flags = (flag.astype(np.int64).tolist() for flag in (table.is_reciprocal, table.initiator_was_isolate))
+    _write_csv(path, _CSV_COLUMNS, zip(initiators, receivers, table.time.tolist(), type_values, *flags), header_comment)
 
 
-def read_initiations_csv(path) -> list[Initiation]:
-    """Read back an initiations CSV (author ids stay strings); a bad value is a SchemaError with line and field."""
-    out: list[Initiation] = []
+def read_initiations_csv(path) -> Initiations:
+    """Read back an initiations CSV as a table with str labels (one per row and end) and int64
+    times; a bad value is a SchemaError with line and field."""
     lines, cols = _csv_columns(path, _CSV_COLUMNS)
-    for line, initiator, receiver, t, itype, *flags in zip(lines, *(cols[name] for name in _CSV_COLUMNS)):
-        if itype not in _ITYPES:
+    times, type_codes, flags = [], [], []
+    for line, t, itype, *row_flags in zip(lines, *(cols[name] for name in _CSV_COLUMNS[2:])):
+        if itype not in _TYPE_VALUES:
             raise SchemaError(f"unknown initiation type: {itype!r}", line=line, field="itype")
-        t = _parse_int(t, line, "time", minimum=-(2**63))
-        flags = [bool(_parse_int(flag, line, name)) for flag, name in zip(flags, _CSV_COLUMNS[4:])]
-        out.append(Initiation(initiator, receiver, t, _ITYPES[itype], *flags))
-    return out
+        times.append(_parse_int(t, line, "time", minimum=-(2**63)))
+        type_codes.append(_TYPE_VALUES.index(itype))
+        flags.append([_parse_int(flag, line, name) for flag, name in zip(row_flags, _CSV_COLUMNS[4:])])
+    return _row_table(
+        cols["initiator"], cols["receiver"], np.array(times, dtype=np.int64), np.array(type_codes, dtype=np.int8),
+        *np.array(flags, dtype=bool).reshape(-1, 2).T,
+    )
 
 
-_TYPE_CODES = {**{itype: code for code, itype in enumerate(InitiationType)}, None: len(InitiationType)}
-# By graph._replay's codes: the type, and whether the source was an isolate.
-_CODE_TYPES = (*InitiationType, InitiationType.JOINING_COMPONENT)
-_CODE_ISOLATED = (True, False, True, False, False)
+# Type codes index _TYPES; the last, len(InitiationType), marks an unclassified row.
+_TYPES = (*InitiationType, None)
+_TYPE_CODES = {itype: code for code, itype in enumerate(_TYPES)}
+_TYPE_VALUES = (*(itype.value for itype in InitiationType), "")
+# The type of a row by (initiator new, receiver new): bridging unless an end is new.
+_OPEN_TYPES = np.array([1, 0, 0, 2], dtype=np.int8)
 _CSV_COLUMNS = ("initiator", "receiver", "time", "itype", "is_reciprocal", "initiator_was_isolate")
-_ITYPES = {"": None, **{itype.value: itype for itype in InitiationType}}

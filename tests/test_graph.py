@@ -1,4 +1,5 @@
 import copy
+from array import array
 import math
 import pickle
 
@@ -863,3 +864,43 @@ class TestAppendNodeCheck:
         with pytest.raises(ValueError, match="author code 3 is not in the vocabulary of 3 authors"):
             g.to_edge_csv(path)
         assert not path.exists()
+
+
+# Every kind of cursor: Python and numpy ints at and past both ends of int64, and floats.
+ADVANCE_CURSORS = (
+    -(2**63), np.int64(-(2**63)), -(2**63) + 1, np.int32(-1), 0, np.int64(0), 1, 0.5, -1.5, 1e300, -1e300,
+    2**63 - 2, np.int64(2**63 - 1), 2**63 - 1, 2**63, 2**70, -(2**70), True,
+)
+EXTREME_EDGE_TIMES = (-(2**63), -(2**63) + 1, 0, 1, 2**63 - 2, 2**63 - 1)
+
+
+class TestAdvanceCursorKinds:
+    """``advance_to`` joins exactly the edges strictly before any cursor, over the shared
+    numpy columns (searchsorted for int64 cursors) and the appended ``array('q')`` ones."""
+
+    @pytest.mark.parametrize("append", [False, True], ids=["numpy", "appended"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cursor_kinds_join_the_same_edges(self, seed, append):
+        rng = np.random.default_rng(1400 + seed)
+        pairs = [rng.choice(12, size=2, replace=False).tolist() for _ in range(40)]
+        log = directed_log([(a, b, EXTREME_EDGE_TIMES[rng.integers(6)]) for a, b in pairs], n_authors=14)
+        for cursor in ADVANCE_CURSORS:
+            g = build(log)
+            if append:
+                assert g.append_edge(12, 13, 2**63 - 1) and isinstance(g._times, array)
+            else:
+                assert isinstance(g._times, np.ndarray)
+            exact = int(cursor) if isinstance(cursor, np.integer) else cursor
+            before = [(s, d) for s, d, t, _ in g.edges() if t < exact]
+            if exact >= 0:
+                g.advance_to(0)  # the search then starts past the edges before 0
+            g.advance_to(cursor)
+            assert g._ptr == len(before), cursor
+            oracle = UnionFind()
+            for s, d in before:
+                oracle.union(s, d)
+            for a in range(14):
+                assert [g.same_wcc(a, b) for b in range(14)] == [oracle.same_component(a, b) for b in range(14)]
+            assert g._largest == oracle.largest_size
+            if append and exact <= 2**63 - 1:
+                assert g.append_edge(13, 12, 2**63 - 1)  # the columns are still array('q'), with no buffer held

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -11,11 +13,11 @@ from netchoice.events import DirectedInteraction, DirectedInteractionLog, Schema
 from netchoice.graph import UnionFind, build
 from netchoice.initiations import (
     Initiation,
+    Initiations,
     InitiationType,
     InvalidEdgeError,
     TimelineStats,
     WindowStats,
-    _initiations,
     classify_initiation,
     classify_initiations,
     extract_initiations,
@@ -264,27 +266,116 @@ class TestClassifyAgainstLoop:
         assert classify_initiations([]) == []
 
 
-class TestInitiationColumns:
+def table_of(labels, rows):
+    """A table over the label list ``labels`` from (src code, dst code, time, type, reciprocal, isolate) rows."""
+    codes = {itype: code for code, itype in enumerate((*InitiationType, None))}
+    src, dst, times, itypes, reciprocal, isolated = (list(column) for column in zip(*rows)) if rows else [[]] * 6
+    return Initiations(
+        labels, np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), np.array(times, dtype=np.int64),
+        np.array([codes[t] for t in itypes], dtype=np.int8), np.array(reciprocal, dtype=bool), np.array(isolated, dtype=bool),
+    )
+
+
+TABLE_LABELS = ["a", 2, "c", "b", 3, "d"]
+TABLE_ROWS = [(0, 3, 1, JC, False, True), (1, 4, 2, None, True, False), (2, 5, 3, IC, False, True)]
+CONSTRUCTED = [
+    Initiation("a", "b", 1, JC, False, True),
+    Initiation(2, 3, 2, None, True, False),
+    Initiation("c", "d", 3, IC, False, True),
+]
+
+
+class TestInitiationsTable:
+    """``Initiations`` is a read-only sequence whose rows are built as they are read."""
+
     def test_rows_match_constructed(self):
-        itypes = [JC, None, IC]
-        built = _initiations(["a", 2, "c"], ["b", 3, "d"], [1, 2, 3], itypes, [False, True, False], [True, False, True])
-        constructed = [
-            Initiation("a", "b", 1, JC, False, True),
-            Initiation(2, 3, 2, None, True, False),
-            Initiation("c", "d", 3, IC, False, True),
-        ]
-        assert built == constructed
-        assert [hash(i) for i in built] == [hash(i) for i in constructed]
-        assert [repr(i) for i in built] == [repr(i) for i in constructed]
+        table = table_of(TABLE_LABELS, TABLE_ROWS)
+        assert list(table) == CONSTRUCTED
+        assert [hash(i) for i in table] == [hash(i) for i in CONSTRUCTED]
+        assert [repr(i) for i in table] == [repr(i) for i in CONSTRUCTED]
+        assert [repr(table[i]) for i in range(3)] == [repr(i) for i in CONSTRUCTED]
 
     def test_defaults_and_frozen(self):
-        (ini,) = _initiations(["a"], ["b"], [4], [None], [False], [False])
+        (ini,) = extract_initiations([("a", "b", 4)])
         assert ini == Initiation("a", "b", 4)
         assert repr(ini) == repr(Initiation("a", "b", 4))
         with pytest.raises(dataclasses.FrozenInstanceError):
             ini.time = 5
         with pytest.raises(dataclasses.FrozenInstanceError):
             ini.itype = JC
+
+    def test_codes_are_python_ints(self):
+        (ini,) = table_of(None, [(7, 9, -(2**63), BC, True, False)])
+        assert ini == Initiation(7, 9, -(2**63), BC, True, False)
+        assert [type(v) for v in (ini.initiator, ini.receiver, ini.time)] == [int] * 3
+        assert [type(v) for v in (ini.is_reciprocal, ini.initiator_was_isolate)] == [bool] * 2
+
+    def test_len_bool_and_indexing(self):
+        table = table_of(TABLE_LABELS, TABLE_ROWS)
+        assert len(table) == 3 and table
+        assert not table_of([], []) and len(table_of([], [])) == 0
+        assert [table[i] for i in (0, 1, 2, -1, -2, -3)] == [CONSTRUCTED[i] for i in (0, 1, 2, -1, -2, -3)]
+        assert table[np.int64(1)] == CONSTRUCTED[1]
+        for i in (3, -4, 100):
+            with pytest.raises(IndexError):
+                table[i]
+        with pytest.raises(TypeError):
+            table[1.0]
+
+    def test_slice_is_a_table(self):
+        table = table_of(TABLE_LABELS, TABLE_ROWS)
+        for part in (slice(1, None), slice(None, None, -1), slice(0, 0), slice(None, None, 2)):
+            got = table[part]
+            assert isinstance(got, Initiations)
+            assert list(got) == CONSTRUCTED[part]
+
+    def test_equality(self):
+        table = table_of(TABLE_LABELS, TABLE_ROWS)
+        other = table_of(["c", "d", "a", "b", 2, 3], [(2, 3, 1, JC, False, True), (4, 5, 2, None, True, False),
+                                                         (0, 1, 3, IC, False, True)])
+        for same in (CONSTRUCTED, tuple(CONSTRUCTED), other, table):
+            assert table == same and same == table
+            assert not (table != same) and not (same != table)
+        changed = CONSTRUCTED[:2] + [Initiation("c", "d", 3, IC, True, True)]
+        for different in (CONSTRUCTED[:2], changed, [], (), table[1:], [("a", "b", 1)] * 3):
+            assert table != different and different != table
+            assert not (table == different)
+        assert table_of([], []) == [] and [] == table_of([], []) and table_of([], []) == ()
+        assert table != "abc" and table != 3
+        with pytest.raises(TypeError):
+            hash(table)
+
+    def test_read_only(self):
+        table = table_of(TABLE_LABELS, TABLE_ROWS)
+        with pytest.raises(AttributeError):
+            table.time = table.time
+        with pytest.raises(ValueError):
+            table.time[0] = 5
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))])
+    def test_copy_and_pickle_round_trips(self, clone):
+        for table in (table_of(TABLE_LABELS, TABLE_ROWS), initiations_from_interactions([(1, 2, 5), (2, 3, 6)])):
+            got = clone(table)
+            assert isinstance(got, Initiations) and got == table
+            assert [repr(i) for i in got] == [repr(i) for i in table]
+
+    @pytest.mark.parametrize("kind", ["labels", "log"])
+    def test_extract_then_append(self, kind):
+        edges = [(0, 1, 5), (1, 2, 6), (2, 0, 6)]
+        if kind == "labels":
+            g = build([(f"n{s}", f"n{d}", t) for s, d, t in edges])
+            new, old = ("n3", "n0"), ("n0", "n1")
+        else:
+            records = [DirectedInteraction(f"a{s}", f"a{d}", t, "guestbook", "s") for s, d, t in edges + [(3, 0, 9)]]
+            g = build(DirectedInteractionLog.from_records(records[:3], vocab=DirectedInteractionLog.from_records(records).vocab))
+            new, old = (3, 0), (0, 1)
+        assert g.append_edge(*new, 10)
+        table = extract_initiations(g)
+        before = list(table)
+        assert g.append_edge(*new[::-1], 11) and not g.append_edge(*old, 12)
+        assert list(table) == before and len(table) == 4
+        assert [(i.initiator, i.receiver) for i in extract_initiations(g)][-2:] == [new, new[::-1]]
+        assert classify_initiations(table) == classify_loop_oracle(before)
 
 
 class TestTimeline:
@@ -431,6 +522,19 @@ def test_csv_round_trip_non_ascii(tmp_path):
     assert read_initiations_csv(path) == inits
 
 
+def test_csv_reads_back_a_table(tmp_path):
+    inits = [Initiation("zoë", "王", -(2**63), JI, False, True), Initiation("a", "b", 2**63 - 1, None, True, False)]
+    path = tmp_path / "initiations.csv"
+    write_initiations_csv(path, Initiations(["zoë", "a", "王", "b"], np.array([0, 1]), np.array([2, 3]),
+                                            np.array([-(2**63), 2**63 - 1]), np.array([2, 4], dtype=np.int8),
+                                            np.array([False, True]), np.array([True, False])))
+    back = read_initiations_csv(path)
+    assert isinstance(back, Initiations) and back.time.dtype == np.int64
+    assert back == inits and [repr(i) for i in back] == [repr(i) for i in inits]
+    write_initiations_csv(tmp_path / "again.csv", back)
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
 def window_stats_oracle(start, members):
     """One window's stats, one initiation at a time."""
     total = len(members)
@@ -574,3 +678,64 @@ class TestClassifyLabelKinds:
             if kind == "int":
                 assert got == classify_loop_oracle(rows)
         assert results["str"] == results["int"] == results["np.int64"] == results["mixed"]
+
+
+def extreme_stream(rng, labels):
+    """Records over ``labels`` at EXTREME_TIMES, with repeated pairs and equal-time reverse edges."""
+    stream = []
+    for _ in range(int(rng.integers(1, 120))):
+        a, b = rng.choice(len(labels), size=2, replace=False).tolist()
+        stream.append((labels[a], labels[b], EXTREME_TIMES[int(rng.integers(len(EXTREME_TIMES)))]))
+        if rng.random() < 0.3:
+            stream.append((labels[b], labels[a], stream[-1][2]))
+    return stream
+
+
+class TestClassifyTableAgainstRows:
+    """``classify_initiations`` of a table, of its rows as a list, and the one-edge loop agree."""
+
+    SOURCES = ("str-records", "int-records", "log")
+
+    def extracted(self, rng, source):
+        labels = LABEL_SETS["int" if source == "int-records" else "str"]
+        stream = extreme_stream(rng, labels)
+        if source != "log":
+            return extract_initiations(stream)
+        log = DirectedInteractionLog.from_records([DirectedInteraction(s, d, t, "guestbook", "x") for s, d, t in stream])
+        return extract_initiations(log)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_streams(self, seed, source):
+        rng = np.random.default_rng(1200 + seed)
+        for _ in range(25):
+            table = self.extracted(rng, source)
+            got = classify_initiations(table)
+            assert isinstance(got, Initiations)
+            assert got == classify_initiations(list(table)) == classify_loop_oracle(list(table))
+            assert [repr(i) for i in got] == [repr(i) for i in classify_loop_oracle(list(table))]
+            assert classify_initiations(got) == got
+
+    def test_a_log_table_is_not_sorted_again(self, monkeypatch):
+        table = self.extracted(np.random.default_rng(1300), "log")
+        expected = classify_loop_oracle(list(table))
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("a log's table is already in processing order")
+
+        monkeypatch.setattr(np, "lexsort", no_sort)
+        assert classify_initiations(table) == expected
+
+    def test_appended_ties_are_sorted(self):
+        # Appended edges keep their append order; within a tie it need not be (source, target) order.
+        log = DirectedInteractionLog.from_records(
+            [DirectedInteraction(f"a{s}", f"a{d}", t, "guestbook", "x") for s, d, t in [(0, 1, 1), (2, 3, 2), (4, 1, 3)]]
+        )
+        g = build(log)
+        for src, dst in [(3, 4), (0, 2), (1, 0)]:
+            assert g.append_edge(src, dst, 9)
+        table = extract_initiations(g)
+        assert [(i.initiator, i.receiver) for i in table][-3:] == [(3, 4), (0, 2), (1, 0)]
+        got = classify_initiations(table)
+        assert [(i.initiator, i.receiver) for i in got][-3:] == [(0, 2), (1, 0), (3, 4)]
+        assert got == classify_loop_oracle(list(table))

@@ -293,3 +293,56 @@ def test_linalg_solve_only_in_the_newton_solver():
     found = {hit for path in paths for hit in linalg_solve_calls(path)}
     assert "estimators.py:_newton" in found
     assert found <= LINALG_SOLVE_EXEMPT, f"np.linalg.solve in {sorted(found - LINALG_SOLVE_EXEMPT)}"
+
+
+def initiation_rows(path):
+    """``file:line in function`` of every ``Initiation`` row built (a call of it, or it
+    passed to another call such as ``map``, ``isinstance`` aside) and every mention of
+    ``_initiations``, naming the innermost function around it (``<module>`` at top level)."""
+
+    def named(node, name):
+        return (isinstance(node, ast.Name) and node.id == name) or (isinstance(node, ast.Attribute) and node.attr == name)
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if child.name == "_initiations":
+                    yield f"{path.name}:{child.lineno} in <module>"
+                yield from visit(child, child.name)
+                continue
+            hit = named(child, "_initiations")
+            if isinstance(child, ast.Call):
+                hit = hit or named(child.func, "Initiation")
+                if not (named(child.func, "isinstance") or named(child.func, "issubclass")):
+                    hit = hit or any(named(arg, "Initiation") for arg in child.args)
+            if hit:
+                yield f"{path.name}:{child.lineno} in {function}"
+            yield from visit(child, function)
+
+    yield from visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+
+
+def test_scanner_flags_initiation_rows(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "def _initiations(cols):\n    return cols\n"
+        "class T:\n    def __iter__(self):\n        return map(Initiation, *self.cols)\n"
+        "    def row(self):\n        return initiations.Initiation(1, 2, 3)\n"
+        "x = isinstance(y, Initiation)\nz: Initiation = w\nrows = init._initiations(a)\n"
+        "def f(t: Initiation) -> Initiations:\n    return Initiations(None, *t)\n"
+    )
+    assert list(initiation_rows(path)) == [
+        "mod.py:1 in <module>", "mod.py:5 in __iter__", "mod.py:7 in row", "mod.py:10 in <module>",
+    ]
+
+
+def test_initiation_rows_are_built_only_by_the_table():
+    # Initiations are columns; a row is built only when a caller reads one,
+    # by Initiations.__iter__ (which indexing also goes through). A row built
+    # anywhere else would bring back per-edge objects in a stage.
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    found = [hit for path in paths for hit in initiation_rows(path)]
+    assert [hit.split(":")[0] + " in " + hit.split(" in ")[1] for hit in found] == ["initiations.py in __iter__"], (
+        f"Initiation rows built outside Initiations.__iter__: {', '.join(found)}"
+    )
