@@ -18,17 +18,18 @@ edges are read-only int64 code columns in (time, source, target) order,
 shared by every graph of one log; the first ``append_edge`` copies them into
 the ``array('q')`` columns it grows. A graph whose nodes are not vocabulary
 codes also keeps a label table; node keys and codes are translated only when
-an edge is stored, a row is cut, a component root is read, a choice set is
+an edge is stored, a row is read, a component root is read, a choice set is
 recorded for the feature kernel, and in ``edges()``, so every query is keyed
 by the node keys callers pass.
 
-Adjacency is not replayed. Each node's out- and in-edges form rows sorted by
-(time, edge order), cut from one stable sort of the edge columns the first
-time the node is queried; a query reads the part of a row strictly before the
-cursor with one binary search. ``append_edge`` extends the cached rows of
-both endpoints. The same index (``_RowIndex``) answers the choice-set feature
-kernel's array lookups at any time, not only the cursor's; an appended edge
-enters it in place, or it is built anew.
+Adjacency is not replayed. One immutable index (``_RowIndex``) holds each
+node's out- and in-edges as rows in (time, edge order), from one sort of
+(row, edge) keys. The edges before the cursor are the first ``_ptr`` in time
+order, so a one-node query reads each of its rows up to the cursor with one
+``searchsorted``; the choice-set feature kernel counts and gathers many
+nodes' edges before their own times the same way. ``append_edge`` drops the
+index, so the first query after an append pays one O(E log E) build; growth
+simulations, the one caller that appends, grow small graphs.
 
 Weak components come from ``_replay``, the union-find replay over int codes
 that initiation classification shares. It supports no deletion, so the
@@ -168,27 +169,19 @@ class _RowIndex:
     With ``n`` the code capacity, row ``x`` holds the out-edges of code ``x``
     and row ``n + 1 + x`` its in-edges; rows ``n`` and ``2n + 1`` stay empty
     and stand for every code at or past ``n``. Row ``r`` fills the slots
-    ``starts[r]:stops[r]`` of its slots ``starts[r]:starts[r + 1]``. A filled
-    slot holds the edge's other end, and its key is its row times ``width``
-    plus the edge's place in the time-sorted edge columns; a free slot's key
-    is ``(r + 1) * width - 1``, above the keys of the row's edges. The edges
-    before ``t`` are the first ``searchsorted(times, t)``, so one
-    ``searchsorted`` of (row, that count) keys finds, for every query at
-    once, its row's edges before its own ``t``.
-
-    An index built with ``room`` leaves room for as many codes and edges
-    again as it holds (plus eight), and each row as many free slots as it
-    has edges (plus two), so :meth:`add` can index an appended edge in place
-    until its rows or the room run out.
+    ``starts[r]:starts[r + 1]``. A slot holds the edge's other end, and its
+    key is its row times ``width`` plus the edge's place in the time-sorted
+    edge columns. The edges before ``t`` are the first
+    ``searchsorted(times, t)``, so one ``searchsorted`` of (row, that count)
+    keys finds, for every query at once, its row's edges before its own
+    ``t``. The index is immutable: a graph that gains an edge builds it anew.
     """
 
-    __slots__ = ("n_edges", "n_codes", "times", "width", "sides", "starts", "stops", "keys", "ends")
+    __slots__ = ("n_codes", "times", "width", "sides", "starts", "keys", "ends")
 
-    def __init__(self, times, src_codes, dst_codes, room=False):
+    def __init__(self, times, src_codes, dst_codes):
         e, n = len(times), _code_span(src_codes, dst_codes)
-        n, capacity = (2 * n + 8, 2 * e + 8) if room else (n, e)
-        self.n_edges, self.n_codes, self.width = e, n, capacity + 1
-        self.times = np.concatenate((times, np.full(capacity - e, np.iinfo(np.int64).max))) if room else times
+        self.n_codes, self.times, self.width = n, times, e + 1
         self.sides = np.array([[0], [n + 1]])  # a code's out- and in-row, less the code
         keys = np.concatenate((src_codes, dst_codes + (n + 1)))  # rows, then keys
         counts = np.bincount(keys, minlength=2 * n + 2)
@@ -199,39 +192,15 @@ class _RowIndex:
         self.keys = keys[order]
         keys[:e], keys[e:] = dst_codes, src_codes  # the buffer now holds each entry's other end
         self.ends = keys[order]
-        del keys, order
-        slots = 2 * counts + 2 if room else counts
-        self.starts = np.concatenate(([0], slots.cumsum()))
-        self.stops = (self.starts[:-1] + counts).tolist()
-        if room:  # spread each row over its slots
-            at = np.arange(2 * e) + (self.starts[:-1] - counts.cumsum() + counts).repeat(counts)
-            keys, ends = self.keys, self.ends
-            self.keys = (np.arange(1, 2 * n + 3) * self.width - 1).repeat(slots)
-            self.ends = np.zeros(len(self.keys), dtype=np.int64)
-            self.keys[at], self.ends[at] = keys, ends
+        self.starts = np.concatenate(([0], counts.cumsum()))
 
-    def add(self, time, src, dst) -> bool:
-        """Index in place an edge later than every indexed one; False when it does not fit."""
-        e, n, stops = self.n_edges, self.n_codes, self.stops
-        rows = (src, n + 1 + dst)
-        if e == len(self.times) or src >= n or dst >= n or any(stops[r] == self.starts[r + 1] for r in rows):
-            return False
-        self.times[e] = time
-        for row, end in zip(rows, (dst, src)):
-            at = stops[row]
-            self.keys[at], self.ends[at], stops[row] = row * self.width + e, end, at + 1
-        self.n_edges = e + 1
-        return True
-
-    def row(self, code) -> tuple[list, list, list, list]:
-        """(out times, target codes, in times, source codes) of ``code``, as fresh lists."""
+    def first(self, code, count) -> tuple[list, list]:
+        """The other ends of ``code``'s out- and in-edges among the first ``count`` edges, as lists of codes."""
         if code is None or code >= self.n_codes:
-            return [], [], [], []
-        return (*self._cut(code), *self._cut(self.n_codes + 1 + code))
-
-    def _cut(self, row) -> tuple[list, list]:
-        a, b = self.starts[row], self.stops[row]
-        return self.times[self.keys[a:b] % self.width].tolist(), self.ends[a:b].tolist()
+            return [], []
+        rows = self.sides.ravel() + code
+        starts, stops = self.starts[rows].tolist(), self.keys.searchsorted(rows * self.width + count).tolist()
+        return self.ends[starts[0] : stops[0]].tolist(), self.ends[starts[1] : stops[1]].tolist()
 
     def adjacent(self, codes, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The edges of each ``codes[i]`` before ``t[i]``, for n queries: the
@@ -265,8 +234,7 @@ class TemporalGraph:
         self._activation: dict = {}
         self._act_times: list | None = None
         self._act_nodes: list | None = None
-        self._index: _RowIndex | None = None
-        self._rows: dict = {}  # node -> (out times, targets, in times, sources), extended by append_edge
+        self._index: _RowIndex | None = None  # built by the first query after a build or an append
         # Code-indexed union-find of the edges before the cursor, fed by _replay.
         self._parent, self._size, self._largest = [], [], 0
         self._cursor = -math.inf
@@ -417,20 +385,7 @@ class TemporalGraph:
         self._srcs.append(self._intern(src))
         self._dsts.append(self._intern(dst))
         self._counts.append(1)
-        if self._index is not None:
-            # Once built, the index holds every edge, and rows not yet cached
-            # are cut from it: so both endpoints' rows are cut before it takes
-            # the edge, and then extended. With no room for the edge, it is
-            # built anew.
-            out_times, targets, _, _ = self._row(src)
-            out_times.append(t)
-            targets.append(dst)
-            _, _, in_times, sources = self._row(dst)
-            in_times.append(t)
-            sources.append(src)
-            if not self._index.add(t, self._srcs[-1], self._dsts[-1]):
-                self._index = None
-                self._row_index()
+        self._index = None
         for node in (src, dst):
             self.register_node(node, t)
         return True
@@ -444,36 +399,27 @@ class TemporalGraph:
         return tuple(np.array(column) if grown else column for column in (self._times, self._srcs, self._dsts))
 
     def _row_index(self) -> _RowIndex:
-        """The index of every edge, built on first use; once an edge has been appended, with room for more."""
+        """The index of every edge, built by the first query after a build or an append."""
         if self._index is None:
-            self._index = _RowIndex(*self._edge_columns(), room=self._pair_index is not None)
+            self._index = _RowIndex(*self._edge_columns())
         return self._index
 
-    def _row(self, node) -> tuple[list, list, list, list]:
-        row = self._rows.get(node)
-        if row is None:
-            out_times, targets, in_times, sources = self._row_index().row(self._code(node))
-            row = self._rows[node] = (out_times, self._keys(targets), in_times, self._keys(sources))
-        return row
-
     def adjacency(self, a) -> tuple[list, list]:
-        """``a``'s targets and sources over the edges strictly before the cursor."""
-        out_times, targets, in_times, sources = self._row(a)
-        cursor = self._cursor
-        return targets[: bisect_left(out_times, cursor)], sources[: bisect_left(in_times, cursor)]
+        """``a``'s targets and sources over the edges strictly before the cursor: the first ``_ptr`` edges."""
+        targets, sources = self._row_index().first(self._code(a), self._ptr)
+        return self._keys(targets), self._keys(sources)
 
     def out_degree(self, a) -> int:
-        return bisect_left(self._row(a)[0], self._cursor)
+        return len(self.adjacency(a)[0])
 
     def in_degree(self, a) -> int:
-        return bisect_left(self._row(a)[2], self._cursor)
+        return len(self.adjacency(a)[1])
 
     def out_neighbors(self, a) -> set:
         return set(self.adjacency(a)[0])
 
     def has_edge(self, a, b) -> bool:
-        out_times, targets, _, _ = self._row(a)
-        return b in targets[: bisect_left(out_times, self._cursor)]
+        return b in self.adjacency(a)[0]
 
     def same_wcc(self, a, b) -> bool:
         return self.wcc_root(a) == self.wcc_root(b)
@@ -547,7 +493,9 @@ def build(interactions, extra_nodes=None) -> TemporalGraph:
         ]
         srcs, dsts, times = (list(map(itemgetter(i), rows)) for i in range(3))
         times = _time_column(times)
-        reduced = _reduced((*_intern_records(graph, srcs, dsts), times), graph._labels)
+        labels, src_codes, dst_codes = _intern_records(srcs, dsts)
+        graph._labels, graph._code_of = labels, {label: code for code, label in enumerate(labels)}
+        reduced = _reduced((src_codes, dst_codes, times), labels)
     graph._times, graph._srcs, graph._dsts, graph._counts, nodes, first_times = reduced
     graph._activation = dict(zip(graph._keys(nodes.tolist()), first_times.tolist()))
     if extra_nodes:
@@ -556,11 +504,13 @@ def build(interactions, extra_nodes=None) -> TemporalGraph:
     return graph
 
 
-def _intern_records(graph: TemporalGraph, srcs: list, dsts: list):
-    """Source and target codes of record labels, interned on ``graph`` in sorted order."""
-    graph._labels = sorted(set(srcs).union(dsts))
-    code_of = graph._code_of = {label: code for code, label in enumerate(graph._labels)}
+def _intern_records(srcs: list, dsts: list) -> tuple[list, np.ndarray, np.ndarray]:
+    """The sorted labels of ``srcs`` and ``dsts`` and the code of each as two int64
+    columns, so codes sort like the labels."""
+    labels = sorted(set(srcs).union(dsts))
+    code_of = {label: code for code, label in enumerate(labels)}
     return (
+        labels,
         np.fromiter(map(code_of.__getitem__, srcs), dtype=np.int64, count=len(srcs)),
         np.fromiter(map(code_of.__getitem__, dsts), dtype=np.int64, count=len(dsts)),
     )

@@ -166,15 +166,8 @@ def classify_initiations(initiations) -> Initiations:
     if table.labels is None and np.all((t > u) | (t == u) & ((s > v) | (s == v) & (d >= w))):  # in processing order
         n = _code_span(src, dst)
     else:
-        initiators, receivers = table.endpoints()
-        labels = np.array(initiators + receivers) if initiators and isinstance(initiators[0], (int, np.integer)) else None
-        if labels is not None and labels.dtype == np.int64:  # int labels are coded by one sort
-            keys, coded = np.unique(labels, return_inverse=True)
-            n, src, dst = len(keys), coded[: len(table)], coded[len(table) :]
-        else:
-            interned = TemporalGraph()  # the graph holds the sorted label table
-            src, dst = _intern_records(interned, initiators, receivers)
-            n = len(interned._labels)
+        labels, src, dst = _intern_records(*table.endpoints())
+        n = len(labels)
         order = np.lexsort((src * n + dst, times))  # n * n fits in int64 for any label count that fits in memory
         table, src, dst = table._select(order), src[order], dst[order]
         times = table.time
@@ -373,7 +366,10 @@ def read_initiations_csv(path) -> Initiations:
             raise SchemaError(f"unknown initiation type: {itype!r}", line=line, field="itype")
         times.append(_parse_int(t, line, "time", minimum=-(2**63)))
         type_codes.append(_TYPE_VALUES.index(itype))
-        flags.append([_parse_int(flag, line, name) for flag, name in zip(row_flags, _CSV_COLUMNS[4:])])
+        for flag, name in zip(row_flags, _CSV_COLUMNS[4:]):
+            if flag not in ("0", "1"):
+                raise SchemaError(f"flag must be 0 or 1: {flag!r}", line=line, field=name)
+        flags.append([flag == "1" for flag in row_flags])
     return _row_table(
         cols["initiator"], cols["receiver"], np.array(times, dtype=np.int64), np.array(type_codes, dtype=np.int8),
         *np.array(flags, dtype=bool).reshape(-1, 2).T,

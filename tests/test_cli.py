@@ -325,9 +325,11 @@ class TestExitCodes:
              "line 1"),
             ("report", {"--initiations": INITIATIONS, "--fit": "[1]"}, "line 1"),
             ("report", {"--initiations": INITIATIONS, "--authors": "id,state\na,MN\n"}, "field 'author_id'"),
+            ("report", {"--initiations": INITIATIONS.replace("5,joining_isolates,1,1", "5,joining_isolates,7,1")},
+             "line 3, field 'is_reciprocal'"),
         ],
         ids=["data-short-row", "data-not-a-number", "labels-short-row", "holdout-short-row",
-             "marginal-not-a-list", "fit-not-an-object", "authors-without-author-id"],
+             "marginal-not-a-list", "fit-not-an-object", "authors-without-author-id", "initiation-flag-not-0-or-1"],
     )
     def test_input_file_error_names_its_line(self, tmp_path, capsys, command, files, where):
         argv = [command, "--out-dir", str(tmp_path / "out")]

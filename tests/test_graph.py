@@ -904,3 +904,35 @@ class TestAdvanceCursorKinds:
             assert g._largest == oracle.largest_size
             if append and exact <= 2**63 - 1:
                 assert g.append_edge(13, 12, 2**63 - 1)  # the columns are still array('q'), with no buffer held
+
+    @staticmethod
+    def check_queries(g, cursor):
+        exact = int(cursor) if isinstance(cursor, np.integer) else cursor
+        before = [(s, d) for s, d, t, _ in g.edges() if t < exact]
+        for a in range(14):
+            outs, ins = [d for s, d in before if s == a], [s for s, d in before if d == a]
+            assert g.adjacency(a) == (outs, ins), (cursor, a)
+            assert (g.out_degree(a), g.in_degree(a)) == (len(outs), len(ins)), (cursor, a)
+            assert g.out_neighbors(a) == set(outs), (cursor, a)
+            assert [g.has_edge(a, b) for b in range(14)] == [b in outs for b in range(14)], (cursor, a)
+
+    @pytest.mark.parametrize("append", [False, True], ids=["numpy", "appended"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_queries_read_the_edges_before_any_cursor(self, seed, append):
+        # A one-node query reads the first _ptr edges of the node's rows; for
+        # every cursor kind those are the edges strictly before the cursor,
+        # whether the index was built before or after an append.
+        rng = np.random.default_rng(1500 + seed)
+        pairs = [rng.choice(12, size=2, replace=False).tolist() for _ in range(40)]
+        log = directed_log([(a, b, EXTREME_EDGE_TIMES[rng.integers(6)]) for a, b in pairs], n_authors=14)
+        for cursor in ADVANCE_CURSORS:
+            g = build(log)
+            self.check_queries(g, -math.inf)  # the index is built before any append
+            if append:
+                assert g.append_edge(12, 13, 2**63 - 1) and g.append_edge(13, 0, 2**63 - 1)
+                self.check_queries(g, -math.inf)
+            g.advance_to(cursor)
+            self.check_queries(g, cursor)
+            if (int(cursor) if isinstance(cursor, np.integer) else cursor) <= 2**63 - 1:
+                assert g.append_edge(0, 13, 2**63 - 1)  # at or past the cursor: no query sees it
+                self.check_queries(g, cursor)

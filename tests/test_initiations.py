@@ -499,6 +499,8 @@ HEADER = "initiator,receiver,time,itype,is_reciprocal,initiator_was_isolate\n"
         ("a,b,1,joining_nobody,0,0", 2, "itype"),
         ("a,b,1,joining_isolates,yes,0", 2, "is_reciprocal"),
         ("a,b,1,joining_isolates,0,-1", 2, "initiator_was_isolate"),
+        ("a,b,1,joining_isolates,7,0", 2, "is_reciprocal"),
+        ("a,b,1,joining_isolates,0,2", 2, "initiator_was_isolate"),
     ],
 )
 def test_csv_bad_row_names_line_and_field(tmp_path, row, line, field):

@@ -346,3 +346,46 @@ def test_initiation_rows_are_built_only_by_the_table():
     assert [hit.split(":")[0] + " in " + hit.split(" in ")[1] for hit in found] == ["initiations.py in __iter__"], (
         f"Initiation rows built outside Initiations.__iter__: {', '.join(found)}"
     )
+
+
+def row_index_builds(path):
+    """``file:line in Class.function`` of every call of ``_RowIndex``, by name or as an
+    attribute, naming the classes and functions around it (``<module>`` at top level)."""
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+                if name == "_RowIndex":
+                    yield f"{path.name}:{child.lineno} in {'.'.join(scope) or '<module>'}"
+            yield from visit(child, scope)
+
+    yield from visit(ast.parse(path.read_text(), filename=str(path)), ())
+
+
+def test_scanner_flags_row_index_builds(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "class G:\n    def _row_index(self):\n        return _RowIndex(*cols)\n"
+        "    def append(self):\n        def grow():\n            return graph._RowIndex(\n                t, s, d,\n            )\n"
+        "x = _RowIndex(t, s, d)\ny = _RowIndex\nz = _RowIndexer(t)\n"
+    )
+    assert list(row_index_builds(path)) == [
+        "mod.py:3 in G._row_index", "mod.py:6 in G.append.grow", "mod.py:9 in <module>",
+    ]
+
+
+def test_row_index_is_built_only_by_the_graph():
+    # The row index is immutable and the graph's one adjacency structure: an
+    # append drops it and TemporalGraph._row_index builds it anew. A second
+    # builder would be a second index that can fall out of step with the edges.
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    found = [hit for path in paths for hit in row_index_builds(path)]
+    assert [hit.split(" in ")[1] for hit in found] == ["TemporalGraph._row_index"], (
+        f"_RowIndex built outside TemporalGraph._row_index: {', '.join(found)}"
+    )
