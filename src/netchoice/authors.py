@@ -448,22 +448,18 @@ class AuthorDirectory:
         return author
 
     def to_csv(self, path, header_comment: str | None = None) -> None:
-        """Write author_id,role,is_shared,health_condition,state,first_update_time."""
-        rows = []
-        for author in sorted(self._row, key=lambda a: str(self._label(a))):
-            rec = self.record(author)
-            rows.append(
-                [
-                    self._label(author),
-                    rec.role or "",
-                    int(rec.is_shared_account),
-                    rec.health_condition or "",
-                    rec.state or "",
-                    rec.first_update_time,
-                ]
-            )
+        """Write author_id,role,is_shared,health_condition,state,first_update_time, by ``str`` of the id."""
+        keys = list(self._row)  # in row order
+        rows = zip(
+            map(self._label, keys),
+            (role or "" for role in self._roles),
+            map(int, self._shared),
+            (condition or "" for condition in self._conditions),
+            (self._states.get(key) or "" for key in keys),
+            self._times[self._time_bounds[:-1]].tolist(),
+        )
         columns = ("author_id", "role", "is_shared", "health_condition", "state", "first_update_time")
-        _write_csv(path, columns, rows, header_comment)
+        _write_csv(path, columns, sorted(rows, key=lambda row: str(row[0])), header_comment)
 
 
 def load_site_conditions(path) -> tuple[dict, dict]:

@@ -378,11 +378,16 @@ def _cmd_authors(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _cmd_features(cfg: RunConfig, args) -> int:
+def _classified(cfg: RunConfig):
+    """The projected log, its author directory, its graph (authors active from their first update) and initiations."""
     interactions, updates, _ = _projected(cfg)
     directory = _directory(cfg, updates)
     g = graph_mod.build(interactions, extra_nodes=directory.first_update_times())
-    inits = init_mod.initiations_from_interactions(g)
+    return interactions, directory, g, init_mod.initiations_from_interactions(g)
+
+
+def _cmd_features(cfg: RunConfig, args) -> int:
+    interactions, directory, g, inits = _classified(cfg)
     names = choices_mod.feature_names(cfg.include_state)
     kept, X = choices_mod.initiation_features(inits, g, directory, cfg.include_state)
     label = interactions.vocab.authors.id
@@ -397,10 +402,7 @@ def _cmd_features(cfg: RunConfig, args) -> int:
 
 
 def _cmd_sample(cfg: RunConfig, args) -> int:
-    interactions, updates, _ = _projected(cfg)
-    directory = _directory(cfg, updates)
-    g = graph_mod.build(interactions, extra_nodes=directory.first_update_times())
-    inits = init_mod.initiations_from_interactions(g)
+    interactions, directory, g, inits = _classified(cfg)
     sampler = choices_mod.SamplerConfig(n_negatives=cfg.negatives, seed=derive_seed(cfg.seed, STAGE_SAMPLE))
     instances, skipped = choices_mod.build_choice_sets(inits, g, directory, sampler, cfg.include_state)
     skip_reasons: dict[str, int] = {}

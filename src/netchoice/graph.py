@@ -15,8 +15,9 @@ the first edge per ordered pair with its interaction count, finds every
 endpoint's activation time and rejects self-edges. A log keeps its
 reduction, so it is reduced once however many graphs are built from it. The
 edges are read-only int64 code columns in (time, source, target) order,
-shared by every graph of one log; the first ``append_edge`` copies them into
-the ``array('q')`` columns it grows. A graph whose nodes are not vocabulary
+shared by every graph of one log. An append replaces them with copies (one
+edge longer, or counting a repeat), so readers take them as they are and a
+column once read never changes. A graph whose nodes are not vocabulary
 codes also keeps a label table; node keys and codes are translated only when
 an edge is stored, a row is read, a component root is read, a choice set is
 recorded for the feature kernel, and in ``edges()``, so every query is keyed
@@ -27,8 +28,9 @@ node's out- and in-edges as rows in (time, edge order), from one sort of
 (row, edge) keys. The edges before the cursor are the first ``_ptr`` in time
 order, so a one-node query reads each of its rows up to the cursor with one
 ``searchsorted``; the choice-set feature kernel counts and gathers many
-nodes' edges before their own times the same way. ``append_edge`` drops the
-index, so the first query after an append pays one O(E log E) build; growth
+nodes' edges before their own times the same way. An append costs O(E): one
+comparison over the columns finds a repeated pair, and a new edge copies them
+and drops the index, so the next query pays one O(E log E) build; growth
 simulations, the one caller that appends, grow small graphs.
 
 Weak components come from ``_replay``, the union-find replay over int codes
@@ -40,9 +42,9 @@ analysis here consumes the network.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from bisect import bisect_left
-from operator import itemgetter
 
 import numpy as np
 
@@ -107,8 +109,12 @@ class UnionFind:
         return a == b or self.find(a) == self.find(b)
 
 
-_EMPTY = np.zeros(0, dtype=np.int64)  # an edge-free graph's columns
-_EMPTY.flags.writeable = False
+def _frozen(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
+
+
+_EMPTY = _frozen(np.zeros(0, dtype=np.int64))  # an edge-free graph's columns
 
 
 def _replay(parent: list, size: list, srcs, dsts, largest: int, merges=None) -> int:
@@ -225,9 +231,7 @@ class TemporalGraph:
 
     def __init__(self, vocab=None):
         self.vocab = vocab
-        # int64 code columns in time order: read-only arrays until the first
-        # append turns them into array('q'). numpy reads copies of those: a
-        # live buffer view would make the next append raise BufferError.
+        # Read-only int64 code columns in time order; an append replaces them.
         self._times = self._srcs = self._dsts = self._counts = _EMPTY
         self._labels: list | None = None if vocab is not None else []  # code -> node key
         self._code_of: dict | None = None if vocab is not None else {}  # node key -> code
@@ -239,7 +243,6 @@ class TemporalGraph:
         self._parent, self._size, self._largest = [], [], 0
         self._cursor = -math.inf
         self._ptr = 0
-        self._pair_index: dict | None = None  # (source, target) -> edge index, made by the first append
 
     # -- node keys and codes --------------------------------------------------
 
@@ -251,11 +254,11 @@ class TemporalGraph:
         """The code ``node`` is stored under, or None when it has none."""
         if self._code_of is not None:
             return self._code_of.get(node)
-        return int(node) if isinstance(node, (int, np.integer)) and node >= 0 else None
+        return int(node) if isinstance(node, (int, np.integer)) and 0 <= node < 2**63 else None
 
     def _intern(self, node) -> int:
         if self._code_of is None:
-            return node
+            return self._code(node)
         code = self._code_of.get(node)
         if code is None:
             code = self._code_of[node] = len(self._labels)
@@ -342,8 +345,10 @@ class TemporalGraph:
         if t < self._cursor:
             raise MonotonicityError(f"cursor at {self._cursor} cannot move back to {t}")
         ptr, times = self._ptr, self._times
-        if isinstance(times, np.ndarray) and isinstance(t, (int, np.signedinteger)) and -(2**63) <= t < 2**63:
-            end = ptr + int(times[ptr:].searchsorted(t))  # a float, a wider int or array('q') takes bisect_left
+        if ptr == len(times):
+            end = ptr  # every edge is joined already
+        elif isinstance(t, (int, np.signedinteger)) and -(2**63) <= t < 2**63:
+            end = ptr + int(times[ptr:].searchsorted(t))  # a float or a wider int takes bisect_left
         else:
             end = bisect_left(times, t, ptr)
         if end > ptr:
@@ -357,13 +362,14 @@ class TemporalGraph:
 
         Returns True when the ordered pair is new (a fresh edge), False when
         it only increments an existing edge's interaction count. Appends must
-        keep the stream time-sorted. On a graph of codes (built from a log), a
-        node that is not a non-negative int raises ValueError.
+        keep the stream time-sorted, at int64 times (a float raises TypeError,
+        an int past int64 OverflowError); a graph of codes (built from a log)
+        refuses a node that is no int64 code with ValueError. A refused append
+        changes nothing.
         """
-        if self._code_of is None:  # a graph of codes
-            for node in (src, dst):
-                if self._code(node) is None:
-                    raise ValueError(f"node {node!r} is not an author code")
+        s, d = self._code(src), self._code(dst)
+        if self._code_of is None and None in (s, d):  # a graph of codes
+            raise ValueError(f"node {src if s is None else dst!r} is not an author code")
         if src == dst:
             raise InvalidEdgeError(f"self-edge {src!r}")
         times = self._times
@@ -371,20 +377,20 @@ class TemporalGraph:
             raise MonotonicityError(f"append at {t} precedes last edge time {times[-1]}")
         if t < self._cursor:
             raise MonotonicityError(f"append at {t} precedes cursor {self._cursor}")
-        if self._pair_index is None:  # the first append: the shared columns become the graph's own
-            self._pair_index = {pair: i for i, pair in enumerate(zip(*self._endpoints(0, len(times))))}
-            columns = (self._times, self._srcs, self._dsts, self._counts)
-            self._times, self._srcs, self._dsts, self._counts = (array("q", column.tobytes()) for column in columns)
-            times = self._times
-        idx = self._pair_index.get((src, dst))
-        if idx is not None:
-            self._counts[idx] += 1
-            return False
-        self._pair_index[(src, dst)] = len(times)
-        times.append(t)
-        self._srcs.append(self._intern(src))
-        self._dsts.append(self._intern(dst))
-        self._counts.append(1)
+        t = operator.index(t)
+        if not -(2**63) <= t < 2**63:
+            raise OverflowError(f"append at {t} is outside int64")
+        if None not in (s, d):
+            repeat = ((self._srcs == s) & (self._dsts == d)).nonzero()[0]
+            if len(repeat):
+                counts = self._counts.copy()
+                counts[repeat] += 1
+                self._counts = _frozen(counts)
+                return False
+        grown = np.empty((4, len(times) + 1), dtype=np.int64)  # the columns, one edge longer, as its rows
+        grown[:, :-1] = times, self._srcs, self._dsts, self._counts
+        grown[:, -1] = t, self._intern(src), self._intern(dst), 1  # after every refusal: no label is interned in vain
+        self._times, self._srcs, self._dsts, self._counts = _frozen(grown)
         self._index = None
         for node in (src, dst):
             self.register_node(node, t)
@@ -392,16 +398,10 @@ class TemporalGraph:
 
     # -- queries (state strictly before the cursor) -------------------------
 
-    def _edge_columns(self) -> tuple:
-        """The time, source and target code columns as numpy arrays: the shared read-only ones, or copies
-        of the ``array('q')`` columns an append grows (a live view would make the next append fail)."""
-        grown = self._pair_index is not None
-        return tuple(np.array(column) if grown else column for column in (self._times, self._srcs, self._dsts))
-
     def _row_index(self) -> _RowIndex:
         """The index of every edge, built by the first query after a build or an append."""
         if self._index is None:
-            self._index = _RowIndex(*self._edge_columns())
+            self._index = _RowIndex(self._times, self._srcs, self._dsts)
         return self._index
 
     def adjacency(self, a) -> tuple[list, list]:
@@ -446,7 +446,7 @@ class TemporalGraph:
 
     def scc_snapshot(self) -> list[int]:
         """Strongly-connected component sizes (descending) before the cursor."""
-        src_codes, dst_codes = _scc_core(np.asarray(self._srcs[: self._ptr]), np.asarray(self._dsts[: self._ptr]))
+        src_codes, dst_codes = _scc_core(self._srcs[: self._ptr], self._dsts[: self._ptr])
         sizes = _tarjan_scc_sizes(src_codes, dst_codes, _code_span(src_codes, dst_codes))
         # Every endpoint lies in exactly one SCC; the other activated nodes are isolates.
         sizes.extend([1] * (self.activated_count() - sum(sizes)))
@@ -462,7 +462,7 @@ class TemporalGraph:
         """Write the full edge list as source,target,first_time,interaction_count; an
         appended code outside the vocabulary raises ValueError before the file is opened."""
         if self.vocab is not None and len(self._times):
-            top = max(np.max(self._srcs), np.max(self._dsts))
+            top = max(self._srcs.max(), self._dsts.max())
             if top >= len(self.vocab.authors):
                 raise ValueError(f"author code {top} is not in the vocabulary of {len(self.vocab.authors)} authors")
         rows = ((self._label(src), self._label(dst), t, count) for src, dst, t, count in self.edges())
@@ -491,7 +491,7 @@ def build(interactions, extra_nodes=None) -> TemporalGraph:
             (rec.source_author, rec.target_author, rec.timestamp) if isinstance(rec, DirectedInteraction) else rec
             for rec in interactions
         ]
-        srcs, dsts, times = (list(map(itemgetter(i), rows)) for i in range(3))
+        srcs, dsts, times = (list(map(operator.itemgetter(i), rows)) for i in range(3))
         times = _time_column(times)
         labels, src_codes, dst_codes = _intern_records(srcs, dsts)
         graph._labels, graph._code_of = labels, {label: code for code, label in enumerate(labels)}
@@ -574,10 +574,7 @@ def _first_edges(src, dst, times, labels=None) -> tuple:
     first_times, srcs, dsts = first_times[by_time], srcs[by_time], dsts[by_time]
     # Edges are time-sorted, so a node's first appearance is its activation.
     nodes, at = np.unique(np.column_stack((srcs, dsts)).ravel(), return_index=True)
-    columns = (first_times, srcs, dsts, counts[by_time], nodes, first_times[at // 2])
-    for column in columns:
-        column.flags.writeable = False
-    return columns
+    return tuple(map(_frozen, (first_times, srcs, dsts, counts[by_time], nodes, first_times[at // 2])))
 
 
 def _scc_core(src_codes, dst_codes):
@@ -668,7 +665,7 @@ def largest_wcc_share_series(graph: TemporalGraph):
     """
     if graph._ptr != 0:
         raise ValueError("series requires an un-replayed graph")
-    times = np.array(graph._times)
+    times = graph._times
     if len(times) == 0:
         return
     starts = np.flatnonzero(np.concatenate(([True], times[1:] != times[:-1])))

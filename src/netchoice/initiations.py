@@ -119,13 +119,15 @@ def extract_initiations(interactions) -> Initiations:
     (source, target, time) tuples, or an already-built TemporalGraph; records
     go through ``build``, and a log is read from its first-edge reduction.
     Ties at equal timestamps are ordered by (source, target). Types are left
-    unset. The table's columns are the graph's own.
+    unset. The table's columns are the graph's own, read-only, so a later
+    append to the graph leaves the table as it is.
     """
     if isinstance(interactions, DirectedInteractionLog):
         labels, (times, srcs, dsts) = None, _reduced(interactions)[:3]
     else:
         graph = interactions if isinstance(interactions, TemporalGraph) else build(interactions)
-        labels, (times, srcs, dsts) = graph._labels, graph._edge_columns()
+        times, srcs, dsts = graph._times, graph._srcs, graph._dsts
+        labels = None if graph._labels is None else graph._labels.copy()  # a later append extends the graph's
     unset = np.full(len(times), len(InitiationType), dtype=np.int8)
     return Initiations(labels, srcs, dsts, times, unset, *np.zeros((2, len(times)), dtype=bool))
 

@@ -424,6 +424,14 @@ class TestAuthorDirectory:
         by_label.to_csv(tmp_path / "records.csv")
         by_code.to_csv(tmp_path / "log.csv")
         assert (tmp_path / "records.csv").read_bytes() == (tmp_path / "log.csv").read_bytes()
+        # The export reads the directory's rows; each line must match the author's record.
+        records = [by_label.record(a) for a in sorted(by_label.authors())]
+        want = [
+            [r.author_id, r.role or "", str(int(r.is_shared_account)), r.health_condition or "", r.state or "",
+             str(r.first_update_time)]
+            for r in records
+        ]
+        assert (tmp_path / "records.csv").read_text().splitlines()[1:] == list(map(",".join, want))
 
 
 class TestSideFiles:

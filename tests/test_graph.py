@@ -1,5 +1,4 @@
 import copy
-from array import array
 import math
 import pickle
 
@@ -744,6 +743,16 @@ def graph_state(g):
     return list(g.edges()), {n: g.activation_time(n) for n in range(6)}, g.n_edges
 
 
+def edge_columns(g) -> tuple:
+    return g._times, g._srcs, g._dsts, g._counts
+
+
+def assert_frozen_columns(g):
+    """The edge columns are read-only int64 arrays, before and after any append."""
+    for column in edge_columns(g):
+        assert isinstance(column, np.ndarray) and column.dtype == np.int64 and not column.flags.writeable
+
+
 class TestFirstEdgeMemo:
     """A directed log is reduced to its first edges once; each graph of it shares that reduction."""
 
@@ -776,7 +785,7 @@ class TestFirstEdgeMemo:
         log = directed_log(MEMO_ROWS, n_authors=6)
         first, second = build(log), build(log)
         before = graph_state(second)
-        memo = [column.copy() for column in log._memo]
+        memo = [column.copy() for column in graph_module._reduced(log)]
         assert first.append_edge(4, 5, 10) and not first.append_edge(0, 1, 11)
         assert first.n_edges == 5 and list(first.edges())[0] == (0, 1, 5, 3)
         assert all(np.array_equal(a, b) for a, b in zip(log._memo, memo))
@@ -843,11 +852,11 @@ class TestAppendNodeCheck:
         )
         g = build(log)
         before, memo = graph_state(g), log._memo
-        for src, dst in ((-1, 2), (2, -1), ("a", 2), (0, 1.0), (None, 2)):
+        for src, dst in ((-1, 2), (2, -1), ("a", 2), (0, 1.0), (None, 2), (2**63, 1), (np.uint64(2**63), 1)):
             with pytest.raises(ValueError, match="is not an author code"):
                 g.append_edge(src, dst, 10)
         assert graph_state(g) == before and log._memo is memo
-        assert np.shares_memory(g._times, memo[0]) and g._pair_index is None
+        assert all(column is shared for column, shared in zip(edge_columns(g), memo))  # none was replaced
         g.advance_to(100)
         assert g.largest_wcc_share() == 1.0
         assert g.scc_snapshot() == [1, 1, 1]
@@ -866,6 +875,62 @@ class TestAppendNodeCheck:
         assert not path.exists()
 
 
+def refusal_graph(kind):
+    """Edges a->b at 1 and b->c at 2, the cursor at 5, and the pair the refusals try: c->d."""
+    if kind == "labels":
+        g, pair = build([("a", "b", 1), ("b", "c", 2)]), ("c", "d")
+    else:
+        g, pair = build(directed_log([(0, 1, 1), (1, 2, 2)], n_authors=4)), (2, 3)
+    g.advance_to(5)
+    return g, pair
+
+
+# Each refused append, with the error the graph raises for it; a label graph takes any key,
+# so only a code graph refuses a node.
+REFUSALS = (
+    ("float time", lambda c, d: (c, d, 6.5), TypeError),
+    ("time past int64", lambda c, d: (c, d, 2**63), OverflowError),
+    ("time before the last edge", lambda c, d: (c, d, 1), MonotonicityError),
+    ("time before the cursor", lambda c, d: (c, d, 3), MonotonicityError),
+    ("self-edge", lambda c, d: (d, d, 6), InvalidEdgeError),
+    ("non-code node", lambda c, d: (-1, d, 6), ValueError),
+)
+REFUSAL_CASES = [(kind, *refusal) for kind in ("labels", "codes") for refusal in REFUSALS[: 5 + (kind == "codes")]]
+
+
+class TestRefusedAppend:
+    """A refused append interns no label and replaces no column, so the same pair can still be appended."""
+
+    @pytest.mark.parametrize("kind, name, args, error", REFUSAL_CASES, ids=[f"{c[0]}-{c[1]}" for c in REFUSAL_CASES])
+    def test_refusal_changes_nothing(self, kind, name, args, error):
+        g, (c, d) = refusal_graph(kind)
+        nodes = ("a", "b", "c", "d") if kind == "labels" else range(4)
+
+        def state():
+            activations = {node: g.activation_time(node) for node in nodes}
+            return list(g.edges()), activations, g.n_edges, copy.copy(g._labels), edge_columns(g)
+
+        before = state()
+        with pytest.raises(error):
+            g.append_edge(*args(c, d))
+        after = state()
+        assert after[:4] == before[:4]
+        assert all(column is kept for column, kept in zip(after[4], before[4]))
+        assert g.append_edge(c, d, 6)
+        assert list(g.edges()) == before[0] + [(c, d, 6, 1)]
+        assert_frozen_columns(g)
+
+    @pytest.mark.parametrize("kind", ["labels", "codes"])
+    def test_extracted_table_outlives_appends(self, kind):
+        g, (c, d) = refusal_graph(kind)
+        table = extract_initiations(g)
+        rows, columns = list(table), [column.copy() for column in (table.src, table.dst, table.time)]
+        labels = copy.copy(table.labels)
+        assert g.append_edge(c, d, 6) and not g.append_edge(c, d, 7)
+        assert list(table) == rows and table.labels == labels and len(extract_initiations(g)) == len(rows) + 1
+        assert all(np.array_equal(now, kept) for now, kept in zip((table.src, table.dst, table.time), columns))
+
+
 # Every kind of cursor: Python and numpy ints at and past both ends of int64, and floats.
 ADVANCE_CURSORS = (
     -(2**63), np.int64(-(2**63)), -(2**63) + 1, np.int32(-1), 0, np.int64(0), 1, 0.5, -1.5, 1e300, -1e300,
@@ -875,8 +940,9 @@ EXTREME_EDGE_TIMES = (-(2**63), -(2**63) + 1, 0, 1, 2**63 - 2, 2**63 - 1)
 
 
 class TestAdvanceCursorKinds:
-    """``advance_to`` joins exactly the edges strictly before any cursor, over the shared
-    numpy columns (searchsorted for int64 cursors) and the appended ``array('q')`` ones."""
+    """``advance_to`` joins exactly the edges strictly before any cursor (searchsorted for
+    int64 cursors, bisect for the others), over the log's shared columns and over the
+    columns appends replace them with."""
 
     @pytest.mark.parametrize("append", [False, True], ids=["numpy", "appended"])
     @pytest.mark.parametrize("seed", range(3))
@@ -884,12 +950,12 @@ class TestAdvanceCursorKinds:
         rng = np.random.default_rng(1400 + seed)
         pairs = [rng.choice(12, size=2, replace=False).tolist() for _ in range(40)]
         log = directed_log([(a, b, EXTREME_EDGE_TIMES[rng.integers(6)]) for a, b in pairs], n_authors=14)
+        memo = [column.copy() for column in graph_module._reduced(log)]
         for cursor in ADVANCE_CURSORS:
-            g = build(log)
+            g, sibling = build(log), build(log)
             if append:
-                assert g.append_edge(12, 13, 2**63 - 1) and isinstance(g._times, array)
-            else:
-                assert isinstance(g._times, np.ndarray)
+                assert g.append_edge(12, 13, 2**63 - 1)
+            assert_frozen_columns(g)
             exact = int(cursor) if isinstance(cursor, np.integer) else cursor
             before = [(s, d) for s, d, t, _ in g.edges() if t < exact]
             if exact >= 0:
@@ -903,7 +969,11 @@ class TestAdvanceCursorKinds:
                 assert [g.same_wcc(a, b) for b in range(14)] == [oracle.same_component(a, b) for b in range(14)]
             assert g._largest == oracle.largest_size
             if append and exact <= 2**63 - 1:
-                assert g.append_edge(13, 12, 2**63 - 1)  # the columns are still array('q'), with no buffer held
+                assert g.append_edge(13, 12, 2**63 - 1) and not g.append_edge(12, 13, 2**63 - 1)
+                assert_frozen_columns(g)
+            # Neither the log's reduction nor a sibling graph of the same log sees an append.
+            assert all(np.array_equal(column, kept) for column, kept in zip(log._memo, memo))
+            assert all(column is shared for column, shared in zip(edge_columns(sibling), log._memo))
 
     @staticmethod
     def check_queries(g, cursor):
