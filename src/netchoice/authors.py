@@ -14,14 +14,12 @@ author's sites in creation order, taking the first informative category.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from .events import UpdateLog, _csv_columns, _parse_int, _site_authors, _sorted_unique, _write_csv
+from .events import UpdateLog, _csv_columns, _int64_time, _parse_int, _site_authors, _sorted_unique, _write_csv
 
 SECONDS_PER_DAY = 86_400.0
 DAYS_PER_MONTH = 30.44
@@ -159,9 +157,6 @@ class ActivityFeatures:
     is_mixedsite: bool
 
 
-_ZERO_ACTIVITY = ActivityFeatures(0, 0.0, 0.0, 0.0, False, False)
-
-
 @dataclass(frozen=True)
 class AuthorRecord:
     author_id: object
@@ -186,7 +181,8 @@ class AuthorDirectory:
     health-condition category; ``site_created`` optionally supplies site
     creation times, defaulting to the author's first update per site.
     Roles are full-history aggregates: they do not vary with the query time.
-    Every aggregate is computed once from the log's (site, author) table; a
+    Every aggregate is computed once from the log's (site, author) table
+    into one column per aggregate, the columns the feature kernel reads; a
     lookup maps the key to the author's row and reads that row.
     """
 
@@ -195,8 +191,11 @@ class AuthorDirectory:
             log, self.vocab = updates, updates.vocab
         else:
             log, self.vocab = UpdateLog.from_records(updates), None
+        self._site_ids = log.vocab.sites
 
-        # An author's row is its place in the order of first appearance.
+        # An author's row is its place in the order of first appearance. Each
+        # per-row column has one more row, n, standing for a key the directory
+        # lacks.
         codes = log.author[np.sort(np.unique(log.author, return_index=True)[1])]
         n = len(codes)
         row_of = np.zeros(len(log.vocab.authors), dtype=np.int64)
@@ -217,62 +216,53 @@ class AuthorDirectory:
         self._time_keys = upd_row[order] * self._width + np.searchsorted(self._distinct_times, times)
         self._first_times = {a: t for t, a in sorted(zip(times[self._time_bounds[:-1]].tolist(), keys))}
 
-        # Row r's sites by first update time, with those times, are
-        # _sites/_site_firsts[_site_bounds[r]:_site_bounds[r + 1]].
+        # Row r's site codes by first update time, with those times, are
+        # _sites/_site_firsts[_site_bounds[r]:_site_bounds[r + 1]]; row n's are empty.
         site, author, site_first, labeled, patient = _site_authors(log)
         row = row_of[author]
         by_author = np.lexsort((site_first, row))
-        lo = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n))))
-        self._site_bounds = lo.tolist()
-        lo = lo[:-1]
-        self._sites = self._keys(site[by_author], log.vocab.sites)
-        self._site_firsts = site_first[by_author].tolist()
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n))))
+        self._site_bounds = np.append(bounds, bounds[-1])
+        self._sites = site[by_author]
+        self._site_firsts = site_first[by_author]
+        lo = bounds[:-1]
 
+        # Roles index _ROLES; a row is shared when one of its sites' patient
+        # fractions lies in [1/3, 2/3], as shared_account.
         n_labeled = np.add.reduceat(labeled[by_author], lo)
         n_patient = np.add.reduceat(patient[by_author], lo)
         role = np.select([n_labeled == 0, 3 * n_patient < n_labeled, 3 * n_patient <= 2 * n_labeled], [0, 1, 2], 3)
-        self._roles = np.array(_ROLES, dtype=object)[role].tolist()
+        self._role_codes = np.append(role, 0).astype(np.int8)
         fraction = patient / np.maximum(labeled, 1)
-        in_band = (labeled > 0) & (fraction >= 1.0 / 3.0) & (fraction <= 2.0 / 3.0)  # as shared_account
-        self._shared = (np.bincount(row[in_band], minlength=n) > 0).tolist()
+        in_band = (labeled > 0) & (fraction >= 1.0 / 3.0) & (fraction <= 2.0 / 3.0)
+        self._shared = np.bincount(row[in_band], minlength=n + 1) > 0
 
-        # is_mixedsite at t is mixed_from < t: the least, over the author's
-        # sites, of the later of its own and the site's second author's first
-        # times there. A site's block of the table is ordered by first time,
-        # so its second row is its second author.
+        # An author's time of its second site, or of becoming mixed-site, is
+        # the int64 maximum when there is none: no time lies after it. Mixed
+        # at a site is the later of its own and the site's second author's
+        # first times there. A site's block of the table is ordered by first
+        # time, so its second row is its second author.
+        never = np.iinfo(np.int64).max
+        self._second_site_at = np.full(n + 1, never)
+        multisite = np.diff(bounds) >= 2
+        self._second_site_at[:n][multisite] = self._site_firsts[lo[multisite] + 1]
         block = np.searchsorted(site, site)
         has_second = np.searchsorted(site, site, side="right") - block >= 2
         second = site_first[np.minimum(block + 1, len(site) - 1)]
-        mixed_at = np.where(has_second, np.maximum(site_first, second), np.iinfo(np.int64).max)
-        mixed_from = np.minimum.reduceat(mixed_at[by_author], lo)
-        listed = mixed_from.astype(object)
-        listed[np.bincount(row[has_second], minlength=n) == 0] = math.inf
-        self._mixed_from = listed.tolist()
+        mixed_at = np.where(has_second, np.maximum(site_first, second), never)
+        self._mixed_at = np.append(np.minimum.reduceat(mixed_at[by_author], lo), never)
 
-        self._conditions = [None] * n
+        # Conditions and states are codes into a name table whose entry 0 is None.
+        self._condition_names: list = [None]
+        self._condition_codes = np.zeros(n + 1, dtype=np.int32)
         conditions = self._site_codes(log, site_conditions)
         conditions = {s: c for s, c in conditions.items() if c is not None and c != CONDITION_UNKNOWN}
         if conditions:
             self._assign_conditions(log, conditions, self._site_codes(log, site_created), site, row, site_first)
-        self._states: dict = {}
+        self._state_names: list = [None]
+        self._state_codes: dict = {}  # by author key: an author with a state but no updates keeps it
         if geo_posts:
             self._assign_states(geo_posts)
-
-        # Per-row feature columns with one more row, n, standing for a key the
-        # directory lacks. Codes: roles index _ROLES; conditions and
-        # states count from 1 in order of first appearance, 0 for none. An
-        # author's time of its second site, or of becoming mixed-site, is the
-        # int64 maximum when there is none: no time lies after it.
-        never = np.iinfo(np.int64).max
-        self._role_codes = np.append(role, 0).astype(np.int8)
-        names: dict = {None: 0}
-        self._condition_codes = np.array([names.setdefault(c, len(names)) for c in self._conditions] + [0], np.int32)
-        names = {None: 0}
-        self._state_codes = {author: names.setdefault(state, len(names)) for author, state in self._states.items()}
-        multisite = np.diff(self._site_bounds) >= 2
-        self._second_site_at = np.full(n + 1, never)
-        self._second_site_at[:n][multisite] = site_first[by_author][lo[multisite] + 1]
-        self._mixed_at = np.append(mixed_from, never)
 
     def _keys(self, codes, ids) -> list:
         """The directory's keys of ``codes``: the codes of a log, the ids of records."""
@@ -303,8 +293,11 @@ class AuthorDirectory:
         site, row = site[order], row[order]
         head = np.ones(len(row), dtype=bool)
         head[1:] = row[1:] != row[:-1]
-        for r, s in zip(row[head].tolist(), site[head].tolist()):
-            self._conditions[r] = conditions[s]
+        names = {name: code for code, name in enumerate(dict.fromkeys(conditions.values()), 1)}
+        self._condition_names += names
+        code_of = np.zeros(len(log.vocab.sites), dtype=np.int32)
+        code_of[list(conditions)] = [names[c] for c in conditions.values()]
+        self._condition_codes[row[head]] = code_of[site[head]]
 
     def _assign_states(self, geo_posts) -> None:
         per_author: dict = {}
@@ -319,10 +312,12 @@ class AuthorDirectory:
                     continue
                 author = code
             per_author.setdefault(author, []).append(state)
+        names: dict = {None: 0}
         for author, states in per_author.items():
             assigned = assign_state(states)
             if assigned is not None:
-                self._states[author] = assigned
+                self._state_codes[author] = names.setdefault(assigned, len(names))
+        self._state_names = list(names)
 
     # -- lookups -------------------------------------------------------------
 
@@ -332,20 +327,21 @@ class AuthorDirectory:
     def __contains__(self, author) -> bool:
         return author in self._row
 
+    def _row_of(self, author) -> int:
+        """The author's row, or the extra row n when the directory lacks it."""
+        return self._row.get(author, len(self._row))
+
     def role(self, author) -> str | None:
-        row = self._row.get(author)
-        return None if row is None else self._roles[row]
+        return _ROLES[self._role_codes[self._row_of(author)]]
 
     def is_shared_account(self, author) -> bool:
-        row = self._row.get(author)
-        return row is not None and self._shared[row]
+        return bool(self._shared[self._row_of(author)])
 
     def state(self, author) -> str | None:
-        return self._states.get(author)
+        return self._state_names[self._state_codes.get(author, 0)]
 
     def first_update_time(self, author) -> int | None:
-        row = self._row.get(author)
-        return None if row is None else int(self._times[self._time_bounds[row]])
+        return self._first_times.get(author)
 
     def first_update_times(self) -> dict:
         """author -> first update time, ordered by (time, author), e.g. for
@@ -353,24 +349,21 @@ class AuthorDirectory:
         return self._first_times
 
     def sites_of(self, author) -> tuple:
-        row = self._row.get(author)
-        if row is None:
-            return ()
-        lo, hi = self._site_bounds[row], self._site_bounds[row + 1]
-        sites = self._sites[lo:hi]
-        return tuple(s for _, _, s in sorted(zip(self._site_firsts[lo:hi], map(str, sites), sites)))
+        row = self._row_of(author)
+        lo, hi = self._site_bounds[row : row + 2].tolist()
+        sites = self._keys(self._sites[lo:hi], self._site_ids)
+        return tuple(s for _, _, s in sorted(zip(self._site_firsts[lo:hi].tolist(), map(str, sites), sites)))
 
     def health_condition(self, author) -> str | None:
         """First informative condition over the author's sites by creation time."""
-        row = self._row.get(author)
-        return None if row is None else self._conditions[row]
+        return self._condition_names[self._condition_codes[self._row_of(author)]]
 
     def shared_condition(self, a, b) -> int:
         return shared_health_condition(self.health_condition(a), self.health_condition(b))
 
     def shared_state(self, a, b) -> int:
-        sa, sb = self._states.get(a), self._states.get(b)
-        return int(sa is not None and sa == sb)
+        sa, sb = self._state_codes.get(a, 0), self._state_codes.get(b, 0)
+        return int(sa != 0 and sa == sb)
 
     def _feature_rows(self, keys) -> np.ndarray:
         """The row of each key, or the extra row n when the directory lacks it."""
@@ -381,9 +374,9 @@ class AuthorDirectory:
         return np.fromiter(map(self._state_codes.get, keys, repeat(0)), dtype=np.int64, count=len(keys))
 
     def _activity_columns(self, rows, t) -> tuple[np.ndarray, ...]:
-        """:meth:`activity_features` of each ``rows[i]`` at ``t[i]``, as columns
-        (update count, frequency, days since most recent, days since first,
-        multisite, mixed-site), bit-equal to it."""
+        """:meth:`activity_features` of each ``rows[i]`` at the int64 ``t[i]``,
+        as columns (update count, frequency, days since most recent, days
+        since first, multisite, mixed-site)."""
         lo = self._time_bounds[rows]
         count = np.searchsorted(self._time_keys, rows * self._width + np.searchsorted(self._distinct_times, t)) - lo
         active = count > 0
@@ -415,30 +408,16 @@ class AuthorDirectory:
         )
 
     def activity_features(self, author, t) -> ActivityFeatures:
-        """Activity summary over updates strictly before ``t``.
+        """Activity summary over updates strictly before the int64 time ``t``.
 
         Tenure is clamped to one day so same-day queries stay finite; update
-        frequency is updates per 30.44-day month.
+        frequency is updates per 30.44-day month. The one-row case of the
+        feature kernel's columns: a float ``t`` raises TypeError, one
+        outside int64 OverflowError.
         """
-        row = self._row.get(author)
-        if row is None:
-            return _ZERO_ACTIVITY
-        lo, hi = int(self._time_bounds[row]), int(self._time_bounds[row + 1])
-        count = bisect_left(self._times, t, lo, hi) - lo
-        if count == 0:
-            return _ZERO_ACTIVITY
-        first, latest = int(self._times[lo]), int(self._times[lo + count - 1])
-        tenure_seconds = max(t - first, SECONDS_PER_DAY)
-        tenure_months = tenure_seconds / (SECONDS_PER_DAY * DAYS_PER_MONTH)
-        second_site = self._site_bounds[row] + 1  # sites are in first-update order
-        return ActivityFeatures(
-            update_count=count,
-            update_frequency=count / tenure_months,
-            days_since_most_recent_update=(t - latest) / SECONDS_PER_DAY,
-            days_since_first_update=(t - first) / SECONDS_PER_DAY,
-            is_multisite=second_site < self._site_bounds[row + 1] and self._site_firsts[second_site] < t,
-            is_mixedsite=self._mixed_from[row] < t,
-        )
+        rows = np.array([self._row_of(author)])
+        columns = self._activity_columns(rows, np.array([_int64_time(t)]))
+        return ActivityFeatures(*(column[0].item() for column in columns))
 
     # -- export ----------------------------------------------------------------
 
@@ -450,12 +429,16 @@ class AuthorDirectory:
     def to_csv(self, path, header_comment: str | None = None) -> None:
         """Write author_id,role,is_shared,health_condition,state,first_update_time, by ``str`` of the id."""
         keys = list(self._row)  # in row order
+
+        def named(codes, names):
+            return map(["", *names[1:]].__getitem__, codes.tolist())
+
         rows = zip(
             map(self._label, keys),
-            (role or "" for role in self._roles),
-            map(int, self._shared),
-            (condition or "" for condition in self._conditions),
-            (self._states.get(key) or "" for key in keys),
+            named(self._role_codes[:-1], _ROLES),
+            self._shared[:-1].astype(int).tolist(),
+            named(self._condition_codes[:-1], self._condition_names),
+            named(self._state_code_column(keys), self._state_names),
             self._times[self._time_bounds[:-1]].tolist(),
         )
         columns = ("author_id", "role", "is_shared", "health_condition", "state", "first_update_time")

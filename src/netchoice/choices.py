@@ -23,7 +23,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .authors import _ROLES, AuthorDirectory, ROLE_MIXED, ROLE_PATIENT
-from .events import SchemaError, _json_lines, _sorted_unique
+from .events import SchemaError, _int64_time, _json_lines, _sorted_unique
 from .graph import TemporalGraph
 from .initiations import _as_table
 
@@ -202,10 +202,13 @@ def choice_set_features(
 ) -> np.ndarray:
     """Feature matrix of one choice set: row ``i`` describes ``alternatives[i]`` at ``t``.
 
-    Advances the graph cursor to ``t`` (it must not already be past it),
-    records the set there and runs the feature kernel on it. An alternative
-    with no activity at any time raises UnknownCandidateError.
+    Advances the graph cursor to the int64 time ``t`` (it must not already
+    be past it), records the set there and runs the feature kernel on it. A
+    float ``t`` raises TypeError and one outside int64 OverflowError, with
+    the cursor left where it was. An alternative with no activity at any
+    time raises UnknownCandidateError.
     """
+    t = _int64_time(t)
     graph.advance_to(t)
     known = _known(alternatives, graph, directory)
     if not all(known):

@@ -35,6 +35,16 @@ ROLE_UNLABELED, ROLE_P, ROLE_CG = 0, 1, 2
 
 _INT64_MAX = 2**63 - 1  # timestamps are stored as int64
 
+
+def _int64_time(t) -> int:
+    """``t`` as a Python int time: TypeError for a non-integer (a float
+    included), OverflowError outside int64."""
+    t = operator.index(t)
+    if not -_INT64_MAX - 1 <= t <= _INT64_MAX:
+        raise OverflowError(f"time {t} is outside int64")
+    return t
+
+
 INTERACTION_COLUMNS = ("actor_id", "site_id", "kind", "timestamp", "update_id")
 UPDATE_COLUMNS = ("author_id", "site_id", "update_id", "timestamp", "role_label")
 

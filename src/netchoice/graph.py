@@ -48,7 +48,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .events import DirectedInteraction, DirectedInteractionLog, _write_csv
+from .events import DirectedInteraction, DirectedInteractionLog, _int64_time, _write_csv
 
 
 class InvalidEdgeError(ValueError):
@@ -377,9 +377,7 @@ class TemporalGraph:
             raise MonotonicityError(f"append at {t} precedes last edge time {times[-1]}")
         if t < self._cursor:
             raise MonotonicityError(f"append at {t} precedes cursor {self._cursor}")
-        t = operator.index(t)
-        if not -(2**63) <= t < 2**63:
-            raise OverflowError(f"append at {t} is outside int64")
+        t = _int64_time(t)
         if None not in (s, d):
             repeat = ((self._srcs == s) & (self._dsts == d)).nonzero()[0]
             if len(repeat):

@@ -304,6 +304,27 @@ class TestAuthorDirectory:
                 )
                 assert feats.is_mixedsite == mixed
 
+    @pytest.mark.parametrize(
+        "t, error",
+        [(6.5, TypeError), (np.float64(7.0), TypeError), (2**70, OverflowError), (-(2**70), OverflowError),
+         (2**63, OverflowError), (-(2**63) - 1, OverflowError)],
+    )
+    def test_activity_time_is_an_int64(self, t, error):
+        d = directory_from([UpdateEvent("a", "s1", "u1", 5, "CG"), UpdateEvent("a", "s2", "u2", 6, "CG")])
+        for author in ("a", "missing"):
+            with pytest.raises(error):
+                d.activity_features(author, t)
+
+    def test_activity_at_the_ends_of_int64(self):
+        d = directory_from([UpdateEvent("a", "s1", "u1", 5, "CG"), UpdateEvent("a", "s2", "u2", 6, "CG")])
+        assert d.activity_features("a", -(2**63)) == d.activity_features("missing", 7)
+        last = d.activity_features("a", 2**63 - 1)
+        assert (last.update_count, last.is_multisite, last.is_mixedsite) == (2, True, False)
+        assert last.days_since_first_update == (2**63 - 1 - 5) / DAY
+        for t in (6, 7, 2**40):
+            assert d.activity_features("a", np.int64(t)) == d.activity_features("a", t)
+            assert type(d.activity_features("a", np.int64(t)).update_count) is int
+
     def test_from_update_log_uses_codes(self):
         events, update_log = make_logs([], [UpdateEvent("a", "s", "u1", 7, "P")])
         d = AuthorDirectory(update_log)

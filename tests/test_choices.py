@@ -480,11 +480,13 @@ def tied_world():
     conditions = {f"s{j}": ["Cancer", "Injury", None, "Cancer", "Condition Unknown", "Stroke"][j] for j in range(6)}
     geo = [(authors[i], k, ["MN", "WI"][i % 2]) for i in range(0, 16, 3) for k in range(12)]
     directory = AuthorDirectory(updates, site_conditions=conditions, geo_posts=geo)
-    return edges, directory, build(edges, extra_nodes=directory.first_update_times())
+    return edges, updates, directory, build(edges, extra_nodes=directory.first_update_times())
 
 
-def scan_features(edges, directory, chooser, candidate, t, include_state):
-    """One feature row from full scans and the directory's public lookups."""
+def scan_features(edges, updates, directory, chooser, candidate, t, include_state):
+    """One feature row from full scans: the activity columns from the update
+    rows in Python ints, the other directory columns from its public lookups."""
+    t = int(t)
     first = {}
     for src, dst, tau in edges:
         first[(src, dst)] = min(first.get((src, dst), tau), tau)
@@ -498,7 +500,20 @@ def scan_features(edges, directory, chooser, candidate, t, include_state):
     component = component_of(bfs_components(prior), chooser)
     role, chooser_role = directory.role(candidate), directory.role(chooser)
     condition, chooser_condition = directory.health_condition(candidate), directory.health_condition(chooser)
-    act = directory.activity_features(candidate, t)
+    before = [u for u in updates if u.timestamp < t]
+    mine = [u for u in before if u.author_id == candidate]
+    my_sites = {u.site_id for u in mine}
+    activity = [0.0] * 6
+    if mine:
+        earliest, latest = min(u.timestamp for u in mine), max(u.timestamp for u in mine)
+        activity = [
+            float(len(my_sites) >= 2),
+            float(any(len({v.author_id for v in before if v.site_id == s}) >= 2 for s in my_sites)),
+            float(len(mine)),
+            len(mine) / (max(t - earliest, 86_400.0) / (86_400.0 * 30.44)),
+            (t - latest) / 86_400.0,
+            (t - earliest) / 86_400.0,
+        ]
     row = [
         censored_log(len(outs), 1.0),
         float(len(ins) > 0),
@@ -510,12 +525,7 @@ def scan_features(edges, directory, chooser, candidate, t, include_state):
         float(role == "P"),
         float(role is not None and role == chooser_role),
         float(condition is not None and condition == chooser_condition),
-        float(act.is_multisite),
-        float(act.is_mixedsite),
-        float(act.update_count),
-        act.update_frequency,
-        act.days_since_most_recent_update,
-        act.days_since_first_update,
+        *activity,
     ]
     if include_state:
         state = directory.state(candidate)
@@ -526,7 +536,7 @@ def scan_features(edges, directory, chooser, candidate, t, include_state):
 class TestFeatureKernel:
     @pytest.mark.parametrize("include_state", [False, True])
     def test_build_choice_sets_rows_equal_scan(self, include_state):
-        edges, directory, graph = tied_world()
+        edges, updates, directory, graph = tied_world()
         inits = extract_initiations(edges)
         instances, _ = build_choice_sets(inits, graph, directory, SamplerConfig(n_negatives=6, seed=3), include_state)
         assert len(instances) > 40
@@ -535,14 +545,14 @@ class TestFeatureKernel:
         assert {inst.time for inst in instances} <= {d * DAY for d in range(20)}
         for inst in instances:
             for row, alt in zip(inst.X, inst.alternatives):
-                expected = scan_features(edges, directory, inst.chooser, alt, inst.time, include_state)
+                expected = scan_features(edges, updates, directory, inst.chooser, alt, inst.time, include_state)
                 assert np.array_equal(row, expected), (inst.chooser, alt, inst.time)
 
     def test_blocks_of_one_set_equal_one_block(self, monkeypatch):
         runs = []
         for block_rows in (1, 10**9):
             monkeypatch.setattr(choices_module, "_BLOCK_ROWS", block_rows)
-            edges, directory, graph = tied_world()
+            edges, _, directory, graph = tied_world()
             runs.append(build_choice_sets(extract_initiations(edges), graph, directory, SamplerConfig(5, seed=9), True))
         (one, skipped_one), (whole, skipped_whole) = runs
         assert len(one) > 40 and skipped_one == skipped_whole
@@ -613,3 +623,38 @@ class TestFeatureKernel:
         read, _ = read_choice_sets(path)
         assert all(np.array_equal(a.X, b.X) for a, b in zip(read, instances))
         assert math.copysign(1.0, read[0].X[0, 0]) == -1.0
+
+
+class TestInt64Times:
+    """Feature queries take int64 times, as append_edge does: a float is a
+    TypeError, a time past int64 an OverflowError, and a refused query
+    leaves the cursor where it was."""
+
+    @pytest.mark.parametrize(
+        "t, error",
+        [(6.5, TypeError), (np.float64(7.0), TypeError), (2**70, OverflowError), (-(2**70), OverflowError),
+         (2**63, OverflowError)],
+    )
+    def test_refused_time_keeps_the_cursor(self, t, error):
+        g = build([("a", "b", 6), ("c", "d", 1)])
+        for query in (
+            lambda: choice_set_features("a", ["b", "d"], t, g, None),
+            lambda: build_features("b", "a", t, g, None),
+        ):
+            with pytest.raises(error):
+                query()
+            assert g.cursor == -math.inf
+        g.advance_to(3)
+        with pytest.raises(error):
+            build_features("b", "a", t, g, None)
+        assert g.cursor == 3
+
+    def test_numpy_int_times_equal_python_ints(self):
+        edges, _, directory, _ = tied_world()
+        for t in (2 * DAY, 5 * DAY + 1, 13 * DAY):
+            rows = []
+            for time in (t, np.int64(t), np.int32(t)):
+                graph = build(edges, extra_nodes=directory.first_update_times())
+                rows.append(choice_set_features("a0", ["a1", "a2", "a11"], time, graph, directory, True))
+                assert graph.cursor == t
+            assert all(np.array_equal(row, rows[0]) for row in rows)

@@ -389,3 +389,55 @@ def test_row_index_is_built_only_by_the_graph():
     assert [hit.split(" in ")[1] for hit in found] == ["TemporalGraph._row_index"], (
         f"_RowIndex built outside TemporalGraph._row_index: {', '.join(found)}"
     )
+
+
+ACTIVITY_CONSTANTS = ("SECONDS_PER_DAY", "DAYS_PER_MONTH")
+
+
+def activity_constant_reads(path):
+    """``file:line in Class.function`` of every read of ``SECONDS_PER_DAY`` or
+    ``DAYS_PER_MONTH``, by name, as an attribute or by import, naming the
+    classes and functions around it (``<module>`` at top level)."""
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, scope + (child.name,))
+                continue
+            names = [alias.name for alias in child.names] if isinstance(child, ast.ImportFrom) else []
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                names = [child.id]
+            elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                names = [child.attr]
+            if any(name in ACTIVITY_CONSTANTS for name in names):
+                yield f"{path.name}:{child.lineno} in {'.'.join(scope) or '<module>'}"
+            yield from visit(child, scope)
+
+    yield from visit(ast.parse(path.read_text(), filename=str(path)), ())
+
+
+def test_scanner_flags_activity_constant_reads(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "SECONDS_PER_DAY = 86_400.0\nclass D:\n    def _activity_columns(self, t):\n"
+        "        return t / (SECONDS_PER_DAY * DAYS_PER_MONTH)\n"
+        "    def activity_features(self, t):\n        def days():\n            return t / authors.SECONDS_PER_DAY\n"
+        "        return days()\nfrom .authors import DAYS_PER_MONTH as MONTH\nx = 'SECONDS_PER_DAY'\nDAYS = 1\n"
+    )
+    assert list(activity_constant_reads(path)) == [
+        "mod.py:4 in D._activity_columns", "mod.py:4 in D._activity_columns",
+        "mod.py:7 in D.activity_features.days", "mod.py:9 in <module>",
+    ]
+
+
+def test_activity_formula_only_in_the_kernel():
+    # The update-activity features have one formula, the feature kernel's
+    # AuthorDirectory._activity_columns; activity_features is its one-row
+    # case. A second reader of the day and month lengths would be a second
+    # formula that can drift from the kernel.
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    found = [hit for path in paths for hit in activity_constant_reads(path)]
+    assert found and {hit.split(":")[0] + " in " + hit.split(" in ")[1] for hit in found} == {
+        "authors.py in AuthorDirectory._activity_columns"
+    }, f"day or month lengths read outside AuthorDirectory._activity_columns: {', '.join(found)}"
