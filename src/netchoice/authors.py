@@ -207,13 +207,14 @@ class AuthorDirectory:
         # one more time pads the end. A time's key is its row times _width
         # plus its dense rank among _distinct_times.
         upd_row = row_of[log.author]
-        order = np.lexsort((log.timestamp, upd_row))
+        self._distinct_times = _sorted_unique(log.timestamp)
+        self._width = len(self._distinct_times) + 1
+        time_keys = upd_row * self._width + np.searchsorted(self._distinct_times, log.timestamp)
+        order = np.argsort(time_keys)
+        self._time_keys = time_keys[order]
         times = log.timestamp[order]
         self._times = np.append(times, 0)
         self._time_bounds = np.concatenate(([0], np.cumsum(np.bincount(upd_row, minlength=n))))
-        self._distinct_times = _sorted_unique(times)
-        self._width = len(self._distinct_times) + 1
-        self._time_keys = upd_row[order] * self._width + np.searchsorted(self._distinct_times, times)
         self._first_times = {a: t for t, a in sorted(zip(times[self._time_bounds[:-1]].tolist(), keys))}
 
         # Row r's site codes by first update time, with those times, are

@@ -912,29 +912,6 @@ def filter_self_interactions(events: EventLog, updates: UpdateLog) -> tuple[Even
 _PROJECT_CHUNK = 1 << 17
 
 
-def _prior_counts(evt_site, evt_time, site_of, first_t):
-    """Per event, the count of first update times on its site strictly before
-    it, by a merge pass over (site, time); temporaries are freed on return."""
-    n_events = len(evt_site)
-    comb_site = np.concatenate((evt_site, site_of))
-    comb_time = np.concatenate((evt_time, first_t))
-    comb_is_upd = np.concatenate((np.zeros(n_events, dtype=np.int8), np.ones(len(site_of), dtype=np.int8)))
-    order = np.lexsort((comb_is_upd, comb_time, comb_site))
-    is_upd_s = comb_is_upd[order]
-    site_s = comb_site[order]
-    cum_upd = np.cumsum(is_upd_s, dtype=np.int64)
-    new_site = np.ones(len(site_s), dtype=bool)
-    new_site[1:] = site_s[1:] != site_s[:-1]
-    group_id = np.cumsum(new_site) - 1
-    starts = np.flatnonzero(new_site)
-    base = np.where(starts > 0, cum_upd[starts - 1], 0)
-    before_here = cum_upd - is_upd_s - base[group_id]
-    prior_count = np.zeros(n_events, dtype=np.int64)
-    evt_rows = order < n_events
-    prior_count[order[evt_rows]] = before_here[evt_rows]
-    return prior_count
-
-
 def project_to_author_edges(events: EventLog, updates: UpdateLog) -> DirectedInteractionLog:
     """Project author->site events into directed author->author interactions.
 
@@ -952,8 +929,16 @@ def project_to_author_edges(events: EventLog, updates: UpdateLog) -> DirectedInt
     vocab = events.vocab
     n_authors = np.int64(max(len(vocab.authors), 1))
 
-    # Per-site blocks of (author, first update time), ordered by that time.
-    site_of, author_of, sa_first_t, _, patient = _site_authors(updates)
+    # One target list: the (site, author) table keyed per row by its site
+    # times width, plus 0 for a patient pair or else 1 + the dense rank of its
+    # first update time, and sorted by that key. An event's targets are the
+    # rows of its site keyed below 1 + the count of first times before it.
+    site_of, author_of, first_t, _, patient = _site_authors(updates)
+    firsts = _sorted_unique(first_t)
+    width = np.int64(len(firsts) + 1)
+    key = site_of * width + np.where(patient > 0, 0, 1 + np.searchsorted(firsts, first_t))
+    by_key = np.argsort(key)
+    key, author_of = key[by_key], author_of[by_key]
 
     # Events ranked by (timestamp, actor), ties in event order; every
     # per-event array below is indexed by rank.
@@ -961,17 +946,14 @@ def project_to_author_edges(events: EventLog, updates: UpdateLog) -> DirectedInt
     actor = events.actor[by_rank]
     evt_time = events.timestamp[by_rank]
     evt_site = events.site[by_rank].astype(np.int64)
-    # Site blocks are found through per-site bounds gathered per event, not a
-    # binary search per event over unsorted sites.
-    site_codes = np.arange(len(vocab.sites) + 1, dtype=np.int64)
-    block_start = np.searchsorted(site_of, site_codes)[evt_site]
-    prior_count = _prior_counts(evt_site, evt_time, site_of, sa_first_t)
-
-    # Patient-labeled authors per site (any time); chunks order targets themselves.
-    p_author = author_of[patient > 0]
-    p_bounds = np.searchsorted(site_of[patient > 0], site_codes)
-    p_start = p_bounds[evt_site]
-    p_count = p_bounds[evt_site + 1] - p_start
+    # Site blocks are found through per-site bounds gathered per event; the
+    # per-event ends are searched in ascending order, far faster than unsorted.
+    block_start = np.searchsorted(key, np.arange(len(vocab.sites), dtype=np.int64) * width)[evt_site]
+    end_key = evt_site * width + np.searchsorted(firsts, evt_time) + 1
+    by_end = np.argsort(end_key)
+    count = np.empty(n_events, dtype=np.int64)
+    count[by_end] = np.searchsorted(key, end_key[by_end]) - block_start[by_end]
+    del end_key, by_end
 
     # Rows of events sharing a (timestamp, actor) group are ordered together,
     # so chunks of ranks are cut only at group starts.
@@ -979,7 +961,7 @@ def project_to_author_edges(events: EventLog, updates: UpdateLog) -> DirectedInt
     new_group[1:] = (evt_time[1:] != evt_time[:-1]) | (actor[1:] != actor[:-1])
     group = np.cumsum(new_group) - 1
     group_starts = np.append(np.flatnonzero(new_group), n_events)
-    fanout_before = np.concatenate(([0], np.cumsum(prior_count + p_count)))[group_starts]
+    fanout_before = np.concatenate(([0], np.cumsum(count)))[group_starts]
     total = int(fanout_before[-1])
     rank_out = np.empty(total, dtype=np.int64)
     dst_out = np.empty(total, dtype=np.int32)
@@ -988,8 +970,7 @@ def project_to_author_edges(events: EventLog, updates: UpdateLog) -> DirectedInt
         # As many whole groups as fit in one chunk of fan-out, at least one.
         end = max(int(np.searchsorted(fanout_before, fanout_before[g] + _PROJECT_CHUNK, side="right")) - 1, g + 1)
         rank, dst = _project_chunk(
-            int(group_starts[g]), int(group_starts[end]), n_authors, actor, group,
-            (prior_count, block_start, author_of), (p_count, p_start, p_author),
+            int(group_starts[g]), int(group_starts[end]), n_authors, actor, group, count, block_start, author_of
         )
         rank_out[n_out : n_out + len(rank)] = rank
         dst_out[n_out : n_out + len(rank)] = dst
@@ -1002,27 +983,23 @@ def project_to_author_edges(events: EventLog, updates: UpdateLog) -> DirectedInt
     return DirectedInteractionLog(vocab, actor[rank], dst, evt_time[rank], events.kind[row], events.site[row])
 
 
-def _project_chunk(lo, hi, n_authors, actor, group, *sources):
+def _project_chunk(lo, hi, n_authors, actor, group, counts, starts, authors):
     """(rank, target) rows of the events ranked ``lo`` to ``hi``, in output order.
 
-    Each source is (per-rank count, per-rank start, target authors): a rank
-    links to ``count`` consecutive authors from ``start``. Self-targets and
-    repeated targets of one event are dropped; rows come out by (group,
-    target), ties in rank order.
+    A rank links to ``counts`` consecutive authors from ``starts``, each once.
+    Self-targets are dropped; rows come out by (group, target), ties in rank
+    order.
     """
-    ranks, targets = [], []
-    for counts, starts, authors in sources:
-        counts = counts[lo:hi]
-        offsets = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-        ranks.append(np.repeat(np.arange(lo, hi, dtype=np.int64), counts))
-        targets.append(authors[np.repeat(starts[lo:hi], counts) + offsets])
-    rank = np.concatenate(ranks)
-    tgt = np.concatenate(targets).astype(np.int64)
+    counts = counts[lo:hi]
+    offsets = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    rank = np.repeat(np.arange(lo, hi, dtype=np.int64), counts)
+    tgt = authors[np.repeat(starts[lo:hi], counts) + offsets].astype(np.int64)
     keep = tgt != actor[rank]
-    # Deduped keys come out in (rank, target) order. Only events sharing a
-    # (timestamp, actor) group can interleave: order within each group by
-    # target, stably, so ties keep event order.
-    pair_key = _sorted_unique(rank[keep] * n_authors + tgt[keep])
+    # A rank's targets are distinct, so its sorted keys come out in (rank,
+    # target) order. Only events sharing a (timestamp, actor) group can
+    # interleave: order within each group by target, stably, so ties keep
+    # event order.
+    pair_key = np.sort(rank[keep] * n_authors + tgt[keep])
     rank = pair_key // n_authors
     dst = pair_key % n_authors
     order = np.argsort(group[rank] * n_authors + dst, kind="stable")

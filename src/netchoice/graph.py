@@ -254,7 +254,7 @@ class TemporalGraph:
         """The code ``node`` is stored under, or None when it has none."""
         if self._code_of is not None:
             return self._code_of.get(node)
-        return int(node) if isinstance(node, (int, np.integer)) and 0 <= node < 2**63 else None
+        return int(node) if isinstance(node, (int, np.integer)) and 0 <= node < len(self.vocab.authors) else None
 
     def _intern(self, node) -> int:
         if self._code_of is None:
@@ -364,8 +364,8 @@ class TemporalGraph:
         it only increments an existing edge's interaction count. Appends must
         keep the stream time-sorted, at int64 times (a float raises TypeError,
         an int past int64 OverflowError); a graph of codes (built from a log)
-        refuses a node that is no int64 code with ValueError. A refused append
-        changes nothing.
+        refuses a node that is no code of its vocabulary with ValueError. A
+        refused append changes nothing.
         """
         s, d = self._code(src), self._code(dst)
         if self._code_of is None and None in (s, d):  # a graph of codes
@@ -457,12 +457,7 @@ class TemporalGraph:
         return node if self.vocab is None else self.vocab.authors.id(node)
 
     def to_edge_csv(self, path, header_comment: str | None = None) -> None:
-        """Write the full edge list as source,target,first_time,interaction_count; an
-        appended code outside the vocabulary raises ValueError before the file is opened."""
-        if self.vocab is not None and len(self._times):
-            top = max(self._srcs.max(), self._dsts.max())
-            if top >= len(self.vocab.authors):
-                raise ValueError(f"author code {top} is not in the vocabulary of {len(self.vocab.authors)} authors")
+        """Write the full edge list as source,target,first_time,interaction_count."""
         rows = ((self._label(src), self._label(dst), t, count) for src, dst, t, count in self.edges())
         _write_csv(path, ("source", "target", "first_time", "interaction_count"), rows, header_comment)
 

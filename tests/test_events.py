@@ -514,6 +514,44 @@ class TestProjectionRowOrder:
         event_log, update_log = make_logs(events, updates)
         self.assert_rows(event_log, update_log)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unfiltered_log_against_both_references(self, seed):
+        # Not self-filtered: actors interact with their own sites, so
+        # projection drops those targets itself. On s0, a0 is both a prior
+        # author (from t=1) and a patient; s1 has only patients; s2 and s5
+        # have no updates. Times come from the ends of int64, so many tie.
+        rng = np.random.default_rng(40 + seed)
+        times = [0, 1, 2**62, 2**63 - 2, 2**63 - 1]
+        authors = [f"a{i}" for i in range(7)]
+        updates = [
+            UpdateEvent("a0", "s0", "u0", 1, "CG"),
+            UpdateEvent("a0", "s0", "u1", 2**62, "P"),
+            UpdateEvent("a1", "s1", "u2", 2**63 - 1, "P"),
+            UpdateEvent("a2", "s1", "u3", 0, "P"),
+        ]
+        for i in range(4, 40):
+            site = str(rng.choice(["s0", "s1", "s3", "s4"]))
+            role = "P" if site == "s1" else str(rng.choice(["P", "CG", "unlabeled"]))
+            updates.append(UpdateEvent(str(rng.choice(authors)), site, f"u{i}", int(rng.choice(times)), role))
+        interactions = [
+            InteractionEvent("a3", "s0", "guestbook", 2**62),
+            InteractionEvent("a0", "s0", "guestbook", 2**63 - 1),
+            InteractionEvent("a3", "s2", "guestbook", 2**63 - 1),
+        ]
+        for _ in range(80):
+            kind = str(rng.choice(["guestbook", "comment"]))
+            interactions.append(
+                InteractionEvent(
+                    str(rng.choice(authors)), f"s{rng.integers(6)}", kind, int(rng.choice(times)),
+                    f"u{rng.integers(len(updates))}" if kind == "comment" else None,
+                )
+            )
+        event_log, update_log = make_logs(interactions, updates)
+        out = project_to_author_edges(event_log, update_log)
+        assert interaction_multiset(out) == project_oracle(interactions, updates)
+        assert ("a3", "a0", 2**62) in {(r.source_author, r.target_author, r.timestamp) for r in out}
+        self.assert_rows(event_log, update_log)
+
 
 class TestUniquePairCount:
     def test_examples(self):
@@ -907,6 +945,26 @@ class TestChunkedProjection(TestProjectionRowOrder):
         )
         self.assert_rows(event_log, update_log)
         assert spans == [(0, 1), (1, 4), (4, 5)]
+
+    def test_prior_patient_counts_once_in_the_fan_out(self, spans):
+        # On s4, p and q each have a CG update at 1 and a P update after it:
+        # both prior authors and patients, so k's event there has fan-out 2,
+        # not 4, and the first chunk also takes the event on s1.
+        event_log, update_log = make_logs(
+            [
+                InteractionEvent("k", "s4", "guestbook", 5),
+                InteractionEvent("k", "s1", "guestbook", 6),
+                InteractionEvent("k", "s2", "guestbook", 7),
+            ],
+            self.UPDATES + [
+                UpdateEvent("p", "s4", "u9", 1, "CG"),
+                UpdateEvent("p", "s4", "u10", 2, "P"),
+                UpdateEvent("q", "s4", "u11", 1, "CG"),
+                UpdateEvent("q", "s4", "u12", 3, "P"),
+            ],
+        )
+        self.assert_rows(event_log, update_log)
+        assert spans == [(0, 2), (2, 3)]
 
     def test_empty_log(self, spans):
         self.assert_rows(*make_logs([], self.UPDATES))

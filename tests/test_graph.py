@@ -528,9 +528,11 @@ class TestComponentsAgainstUnionFind:
             g, code = coded_graph(stream, {})
         else:
             g, code = build(stream), {n: n for n in labels}
-        # Later edges reach eight nodes no built edge has, so they are interned fresh.
+        # Later edges reach eight nodes no built edge has, so they are interned
+        # fresh: a graph of codes takes them once its vocabulary holds them.
         for n in labels:
-            code.setdefault(n, len(code))
+            if n not in code:
+                code[n] = g.vocab.authors.code(n)
         later = sorted(
             ((labels[s], labels[d], int(t)) for s, d, t in random_edge_stream(rng, n_nodes=24, n_edges=40, t_max=40)),
             key=lambda e: e[2],
@@ -852,7 +854,8 @@ class TestAppendNodeCheck:
         )
         g = build(log)
         before, memo = graph_state(g), log._memo
-        for src, dst in ((-1, 2), (2, -1), ("a", 2), (0, 1.0), (None, 2), (2**63, 1), (np.uint64(2**63), 1)):
+        refused = ((-1, 2), (2, -1), ("a", 2), (0, 1.0), (None, 2), (2**63, 1), (np.uint64(2**63), 1), (0, 3), (3, 0))
+        for src, dst in refused:
             with pytest.raises(ValueError, match="is not an author code"):
                 g.append_edge(src, dst, 10)
         assert graph_state(g) == before and log._memo is memo
@@ -866,13 +869,13 @@ class TestAppendNodeCheck:
         assert g.append_edge(-1, "a", 6) and g.append_edge(None, -1, 7)
         assert g.n_edges == 3
 
-    def test_export_names_a_code_outside_the_vocabulary(self, tmp_path):
+    def test_code_past_the_vocabulary_is_refused_and_the_graph_exports(self, tmp_path):
         g = build(directed_log([(0, 1, 5), (1, 2, 6)]))
-        assert g.append_edge(0, 3, 9)  # the first code past the three authors
+        with pytest.raises(ValueError, match="3 is not an author code"):
+            g.append_edge(0, 3, 9)  # the first code past the three authors
         path = tmp_path / "edges.csv"
-        with pytest.raises(ValueError, match="author code 3 is not in the vocabulary of 3 authors"):
-            g.to_edge_csv(path)
-        assert not path.exists()
+        g.to_edge_csv(path)
+        assert path.read_text().splitlines() == ["source,target,first_time,interaction_count", "a0,a1,5,1", "a1,a2,6,1"]
 
 
 def refusal_graph(kind):

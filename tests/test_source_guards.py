@@ -1,6 +1,7 @@
 """Guards over the package source itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "netchoice"
@@ -441,3 +442,68 @@ def test_activity_formula_only_in_the_kernel():
     assert found and {hit.split(":")[0] + " in " + hit.split(" in ")[1] for hit in found} == {
         "authors.py in AuthorDirectory._activity_columns"
     }, f"day or month lengths read outside AuthorDirectory._activity_columns: {', '.join(found)}"
+
+
+def lexsort_calls(path):
+    """``file:Class.function`` of every ``np.lexsort`` call and every import of
+    ``lexsort`` from numpy, naming the classes and functions around it
+    (``<module>`` at top level)."""
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, scope + (child.name,))
+                continue
+            hit = (
+                isinstance(child, ast.ImportFrom)
+                and child.module == "numpy"
+                and any(alias.name == "lexsort" for alias in child.names)
+            ) or (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "lexsort"
+                and isinstance(child.func.value, ast.Name)
+                and child.func.value.id in ("np", "numpy")
+            )
+            if hit:
+                yield f"{path.name}:{'.'.join(scope) or '<module>'}"
+            yield from visit(child, scope)
+
+    yield from visit(ast.parse(path.read_text(), filename=str(path)), ())
+
+
+# The functions that may call np.lexsort, each with the number of calls it may
+# make: the package's calls today. A new multi-key sort packs its keys into
+# one int64 and argsorts them, or is added here with the reason it cannot.
+LEXSORT_ALLOWED = Counter({
+    "events.py:_dedupe_mask": 1,
+    "events.py:_interned": 1,
+    "events.py:_site_authors": 1,
+    "events.py:project_to_author_edges": 1,
+    "graph.py:TemporalGraph.activation_prefix": 1,
+    "graph.py:_first_edges": 1,
+    "initiations.py:classify_initiations": 1,
+    "authors.py:AuthorDirectory.__init__": 1,
+    "authors.py:AuthorDirectory._assign_conditions": 1,
+})
+
+
+def test_scanner_flags_lexsort_calls(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "class D:\n    def __init__(self, t, r):\n        self.o = np.lexsort((t, r))\n"
+        "        def inner():\n            return numpy.lexsort(\n                (t, r),\n            )\n"
+        "x = np.lexsort(k)\ny = np.argsort(k)\nz = np.lexsort\nw = keys.lexsort(k)\nfrom numpy import lexsort\n"
+    )
+    assert list(lexsort_calls(path)) == ["mod.py:D.__init__", "mod.py:D.__init__.inner", "mod.py:<module>", "mod.py:<module>"]
+
+
+def test_lexsort_calls_are_allowed_ones():
+    # A multi-key lexsort is many times slower than one argsort of a packed
+    # key: projection's merge pass over events and site authors was its
+    # costliest. A new call, or one more in an allowed function, fails here.
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    found = Counter(hit for path in paths for hit in lexsort_calls(path))
+    assert found, "the scanner found no np.lexsort call"
+    assert not found - LEXSORT_ALLOWED, f"np.lexsort calls past the allow-list: {dict(found - LEXSORT_ALLOWED)}"
