@@ -19,7 +19,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .events import UpdateLog, _csv_columns, _int64_time, _parse_int, _site_authors, _sorted_unique, _write_csv
+from .events import UpdateLog, _csv_columns, _int64_time, _order, _parse_int, _site_authors, _sorted_unique, _write_csv
 
 SECONDS_PER_DAY = 86_400.0
 DAYS_PER_MONTH = 30.44
@@ -221,7 +221,7 @@ class AuthorDirectory:
         # _sites/_site_firsts[_site_bounds[r]:_site_bounds[r + 1]]; row n's are empty.
         site, author, site_first, labeled, patient = _site_authors(log)
         row = row_of[author]
-        by_author = np.lexsort((site_first, row))
+        by_author = _order(row, site_first)
         bounds = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n))))
         self._site_bounds = np.append(bounds, bounds[-1])
         self._sites = site[by_author]
@@ -290,7 +290,7 @@ class AuthorDirectory:
         site, row, when = site[keep], row[keep], site_first[keep]
         if created:
             when = np.array([created.get(s, t) for s, t in zip(site.tolist(), when.tolist())], dtype=np.int64)
-        order = np.lexsort((rank[site], when, row))
+        order = _order(row, when, rank[site])
         site, row = site[order], row[order]
         head = np.ones(len(row), dtype=bool)
         head[1:] = row[1:] != row[:-1]

@@ -165,35 +165,37 @@ class LogVocab:
         self.updates = Vocab()
 
 
-def _dedupe_mask(cols: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
-    """Keep-mask over rows, dropping exact duplicates (first occurrence wins)."""
-    n = len(cols[0])
-    if n == 0:
-        return np.ones(0, dtype=bool), 0
-    # Rows are grouped, not ordered: columns are packed into as few int64
-    # words as their spans allow, and the sort need not be stable.
+def _order(*keys: np.ndarray) -> np.ndarray:
+    """The stable order of rows by integer columns, most significant key first:
+    the offsets from each key's minimum packed, least significant first, into
+    as few int64 words as the spans allow (a key spanning 2**63 or more stays
+    whole), then one stable argsort of one word or one ``np.lexsort``."""
     words, room = [], 0
-    for c in cols:
-        lo = int(c.min())
-        span = int(c.max()) - lo + 1
-        offset = c.astype(np.int64) - lo  # a span past 2**63 wraps, which keeps values distinct
+    for key in reversed(keys):
+        lo, hi = (int(key.min()), int(key.max())) if len(key) else (0, 0)
+        span = hi - lo + 1
+        word = np.subtract(key, lo if span < 2**63 else 0, dtype=np.int64)
         if words and room * span < 2**63:
-            words[-1] += offset * room
+            word *= room
+            words[-1] += word
             room *= span
         else:
-            words.append(offset)
+            words.append(word)
             room = span
-    order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words)
-    new_group = np.zeros(n, dtype=bool)
-    new_group[0] = True
-    for w in words:
-        s = w[order]
+    return np.argsort(words[0], kind="stable") if len(words) == 1 else np.lexsort(words)
+
+
+def _dedupe_mask(cols: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
+    """Keep-mask over rows, dropping exact duplicates (first occurrence wins)."""
+    order = _order(*cols[::-1])  # the first column packed least significant measured fastest
+    new_group = np.zeros(len(order), dtype=bool)
+    new_group[:1] = True
+    for c in cols:
+        s = c[order]
         new_group[1:] |= s[1:] != s[:-1]
-    starts = np.flatnonzero(new_group)
-    first_original = np.minimum.reduceat(order, starts)
-    keep = np.zeros(n, dtype=bool)
-    keep[first_original] = True
-    return keep, int(n - len(starts))
+    keep = np.zeros(len(order), dtype=bool)
+    keep[order[new_group]] = True  # the order is stable: a group's first row is its first occurrence
+    return keep, len(order) - int(np.count_nonzero(new_group))
 
 
 class _ColumnLog(Sequence):
@@ -878,12 +880,10 @@ def _site_authors(updates: UpdateLog) -> tuple[np.ndarray, ...]:
     role = updates.role[order]
     labeled = np.add.reduceat((role != ROLE_UNLABELED).astype(np.int64), starts)
     patient = np.add.reduceat((role == ROLE_P).astype(np.int64), starts)
-    key = key[starts]
+    site, author = (key[starts] // n_authors).astype(np.int32), (key[starts] % n_authors).astype(np.int32)
     first = np.minimum.reduceat(updates.timestamp[order], starts)
-    by_site = np.lexsort((first, key // n_authors))  # stable: ties stay in author order
-    key = key[by_site]
-    site, author = (key // n_authors).astype(np.int32), (key % n_authors).astype(np.int32)
-    return site, author, first[by_site], labeled[by_site], patient[by_site]
+    by_site = _order(site, first)  # stable: ties stay in author order
+    return site[by_site], author[by_site], first[by_site], labeled[by_site], patient[by_site]
 
 
 def filter_self_interactions(events: EventLog, updates: UpdateLog) -> tuple[EventLog, int]:
@@ -942,7 +942,7 @@ def project_to_author_edges(events: EventLog, updates: UpdateLog) -> DirectedInt
 
     # Events ranked by (timestamp, actor), ties in event order; every
     # per-event array below is indexed by rank.
-    by_rank = np.lexsort((events.actor, events.timestamp))
+    by_rank = _order(events.timestamp, events.actor)
     actor = events.actor[by_rank]
     evt_time = events.timestamp[by_rank]
     evt_site = events.site[by_rank].astype(np.int64)
@@ -1002,7 +1002,7 @@ def _project_chunk(lo, hi, n_authors, actor, group, counts, starts, authors):
     pair_key = np.sort(rank[keep] * n_authors + tgt[keep])
     rank = pair_key // n_authors
     dst = pair_key % n_authors
-    order = np.argsort(group[rank] * n_authors + dst, kind="stable")
+    order = _order(group[rank], dst)
     return rank[order], dst[order]
 
 

@@ -300,8 +300,12 @@ class TemporalGraph:
         return zip(srcs, dsts, self._times.tolist(), self._counts.tolist())
 
     def register_node(self, node, time) -> None:
-        """Record a node activation (e.g. a first update) outside the edge stream."""
+        """Record a node activation (e.g. a first update) outside the edge stream,
+        at an int64 time; a graph of codes refuses a node as ``append_edge`` does."""
         known = self._activation.get(node)
+        if known is None and self._code_of is None and self._code(node) is None:
+            raise ValueError(f"node {node!r} is not an author code")
+        time = _int64_time(time)
         if known is None or time < known:
             self._activation[node] = time
             self._act_times = self._act_nodes = None

@@ -28,7 +28,7 @@ from operator import attrgetter, eq
 
 import numpy as np
 
-from .events import DirectedInteractionLog, SchemaError, _ColumnLog, _csv_columns, _parse_int, _write_csv
+from .events import DirectedInteractionLog, SchemaError, _ColumnLog, _csv_columns, _order, _parse_int, _write_csv
 from .graph import InvalidEdgeError, TemporalGraph, _code_span, _intern_records, _reduced, _replay, _time_column, build
 
 
@@ -170,7 +170,7 @@ def classify_initiations(initiations) -> Initiations:
     else:
         labels, src, dst = _intern_records(*table.endpoints())
         n = len(labels)
-        order = np.lexsort((src * n + dst, times))  # n * n fits in int64 for any label count that fits in memory
+        order = _order(times, src, dst)
         table, src, dst = table._select(order), src[order], dst[order]
         times = table.time
     loops = np.flatnonzero(src == dst)

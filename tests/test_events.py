@@ -418,6 +418,53 @@ def test_dedupe_mask_keeps_first_occurrences(rows):
     assert removed == len(rows) - len(seen)
 
 
+# Value pools for the row-order oracle, by dtype. The int64 pools give spans
+# of exactly 2**63 - 1, 2**63 and 2**64, and pairs whose span product lies
+# just below or at 2**63 (2**32 times 2**31 - 1 or 2**31).
+ORDER_POOLS = {
+    np.int8: ([-2, -1, 0, 1], [-128, 127, -1, 0], range(-128, 128)),
+    np.int32: ([-5, 0, 5], [-(2**31), 2**31 - 1, -1, 0], range(-(2**31), 2**31, 2**24 + 1)),
+    np.int64: (
+        [-1, 0, 1],
+        [1, 2**63 - 1],
+        [0, 2**63 - 1],
+        [-(2**63), -1],
+        [-(2**63), 2**63 - 1, -1, 0],
+        [0, 2**32 - 1, 7],
+        [-(2**30), 2**30 - 1, 0],
+        [-(2**30), 2**30 - 2, 0],
+    ),
+}
+
+
+def order_keys(rng, n_rows):
+    """1 to 4 seeded int8, int32 or int64 key columns drawn from ORDER_POOLS:
+    negative values, ends of each dtype and heavy ties."""
+    keys = []
+    for _ in range(int(rng.integers(1, 5))):
+        dtype = (np.int8, np.int32, np.int64)[int(rng.integers(3))]
+        pools = ORDER_POOLS[dtype]
+        pool = np.array(pools[int(rng.integers(len(pools)))], dtype=dtype)
+        keys.append(pool[rng.integers(0, len(pool), n_rows)])
+    return keys
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 9, 300])
+def test_order_and_dedupe_match_their_oracles(n_rows):
+    # The row order is np.lexsort's with the keys reversed; the dedupe keeps
+    # the first row of each distinct tuple of the same columns.
+    rng = np.random.default_rng(500 + n_rows)
+    for _ in range(200):
+        keys = order_keys(rng, n_rows)
+        assert np.array_equal(events._order(*keys), np.lexsort(keys[::-1])), [k.tolist() for k in keys]
+        keep, removed = events._dedupe_mask(keys)
+        first = {}
+        for i, row in enumerate(zip(*(k.tolist() for k in keys))):
+            first.setdefault(row, i)
+        assert np.flatnonzero(keep).tolist() == sorted(first.values())
+        assert removed == n_rows - len(first)
+
+
 def site_authors_oracle(log):
     """(site, author, first time, labeled, patient) rows from a dict, in
     (site, first time, author) order."""

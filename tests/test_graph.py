@@ -773,7 +773,7 @@ class TestFirstEdgeMemo:
 
         first_edges = graph_module._first_edges
         monkeypatch.setattr(graph_module, "_first_edges", spy)
-        log = directed_log(MEMO_ROWS)
+        log = directed_log(MEMO_ROWS, n_authors=6)
         g = build(log)
         rows = extract_initiations(log)
         build(log, extra_nodes={5: 1})
@@ -876,6 +876,55 @@ class TestAppendNodeCheck:
         path = tmp_path / "edges.csv"
         g.to_edge_csv(path)
         assert path.read_text().splitlines() == ["source,target,first_time,interaction_count", "a0,a1,5,1", "a1,a2,6,1"]
+
+
+class TestRegisterNodeCheck:
+    """A graph of codes refuses to register a node that is no code of its
+    vocabulary, and every graph an activation time outside int64, before
+    anything changes."""
+
+    NODES = ("x", -1, 3.5, None, 6, 10**9, np.int64(-1), np.uint64(2**63))
+    TIMES = ((1.5, TypeError), (np.float64(2.0), TypeError), (2**63, OverflowError), (-(2**63) - 1, OverflowError))
+
+    def activations(self, g):
+        return {n: g.activation_time(n) for n in range(6)}, g.activation_prefix(7), g.activated_count(100)
+
+    def test_refused_registrations_change_nothing(self):
+        g = build(directed_log(MEMO_ROWS, n_authors=6))
+        before = self.activations(g)
+        assert before[1] == ([0, 1, 2, 3], 3)
+        for node in self.NODES:
+            with pytest.raises(ValueError, match="is not an author code"):
+                g.register_node(node, 1)
+            assert self.activations(g) == before, node
+        for t, error in self.TIMES:
+            with pytest.raises(error):
+                g.register_node(5, t)
+            assert self.activations(g) == before, t
+        g.register_node(np.int64(5), np.int64(-(2**63)))
+        g.register_node(4, 2**63 - 1)
+        assert g.activation_prefix(7) == ([5, 0, 1, 2, 3, 4], 4)
+        assert type(g.activation_time(5)) is int
+
+    def test_build_refuses_extra_nodes(self):
+        log = directed_log(MEMO_ROWS, n_authors=6)
+        for node in self.NODES:
+            with pytest.raises(ValueError, match="is not an author code"):
+                build(log, extra_nodes={5: 1, node: 1})
+        for t, error in self.TIMES:
+            with pytest.raises(error):
+                build(log, extra_nodes={5: t})
+        assert build(log, extra_nodes={5: 1}).activation_prefix(2) == ([5, 0, 1, 2, 3], 1)
+
+    def test_label_graphs_take_any_node_at_an_int64_time(self):
+        g = build([("a", "b", 5)])
+        for node in ("x", -1, 3.5, None, 10**9):
+            g.register_node(node, 1)
+        assert g.activated_count(2) == 5
+        for t, error in self.TIMES:
+            with pytest.raises(error):
+                g.register_node("y", t)
+        assert g.activation_time("y") is None and g.activated_count(100) == 7
 
 
 def refusal_graph(kind):
